@@ -28,6 +28,7 @@ from .errors import (
 from .formats import (
     cayley_to_hypergroup,
     detect_format,
+    load_any,
     parse_document,
     scheme_to_hypergroup,
     serialize_hypergroup,
@@ -61,14 +62,7 @@ def _read(path: str) -> str:
 
 
 def _load(args) -> FiniteHypergroup:
-    text = _read(args.file)
-    fmt = detect_format(text)
-    if fmt == "hypergroup":
-        h = parse_document(text).build()
-    elif fmt == "cayley":
-        h = cayley_to_hypergroup(text)
-    else:
-        h = scheme_to_hypergroup(text)
+    h = load_any(_read(args.file))
     if args.rank_cap is not None:
         h = h.with_rank_cap(args.rank_cap)
     return h
@@ -86,10 +80,9 @@ def _sigma_pi(args):
 
 def cmd_validate(args) -> int:
     text = _read(args.file)
-    fmt = detect_format(text)
-    if fmt != "hypergroup":
+    if detect_format(text) != "hypergroup":
         # Conversion validates on success; format defects are input errors.
-        h = cayley_to_hypergroup(text) if fmt == "cayley" else scheme_to_hypergroup(text)
+        h = load_any(text)
         report = validate(h.table, h.star)
     else:
         doc = parse_document(text)

@@ -18,10 +18,16 @@ only, there are no structure constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 from .bitset import bits, full_mask, mask_of, members
-from .errors import InvalidHypergroupError, PreconditionError, StructuralError
+from .errors import (
+    InternalConsistencyError,
+    InvalidHypergroupError,
+    PreconditionError,
+    StructuralError,
+)
 
 DEFAULT_RANK_CAP = 24
 
@@ -343,20 +349,52 @@ def unrestrict_subset(F, S_sub) -> int:
     return out
 
 
+def double_cosets_in(H: FiniteHypergroup, lo: int, hi: int) -> tuple[int, ...]:
+    """Double cosets lo h lo for h in hi, closed lo <= hi, in H's coordinates.
+
+    Blocks come out ordered by smallest member, so lo itself is first.
+    """
+    blocks = []
+    covered = 0
+    for h in bits(hi):
+        if (covered >> h) & 1:
+            continue
+        block = complex_product(H, lo, complex_product(H, 1 << h, lo))
+        if block & covered:
+            raise InternalConsistencyError("double cosets failed to partition")
+        blocks.append(block)
+        covered |= block
+    return tuple(blocks)
+
+
 @dataclass(frozen=True)
 class Chain:
-    """An ascending chain of closed subsets with its step quotients.
+    """An ascending chain of closed subsets of base, with its step data.
 
-    step_quotients[i] is the quotient of subsets[i+1] (as a sub-hypergroup)
-    over subsets[i]; step_orders[i] is its rank, the number of double
-    cosets. A chain witnessing residual thinness starts at the identity
-    subset and has every step quotient thin; subnormality witnesses may
-    start anywhere.
+    step_orders[i] is the number of double cosets of subsets[i] inside
+    subsets[i+1], counted in base's own coordinates. step_quotients[i] is
+    the quotient of subsets[i+1] (as a sub-hypergroup) over subsets[i], of
+    rank step_orders[i]; it is built only when read. A chain witnessing
+    residual thinness starts at the identity subset and has every step
+    quotient thin; subnormality witnesses may start anywhere.
     """
 
+    base: FiniteHypergroup
     subsets: tuple[int, ...]
-    step_orders: tuple[int, ...]
-    step_quotients: tuple[FiniteHypergroup, ...]
+
+    def _steps(self):
+        return zip(self.subsets, self.subsets[1:])
+
+    @cached_property
+    def step_orders(self) -> tuple[int, ...]:
+        return tuple(len(double_cosets_in(self.base, lo, hi))
+                     for lo, hi in self._steps())
+
+    @cached_property
+    def step_quotients(self) -> tuple[FiniteHypergroup, ...]:
+        from .quotient import section_quotient  # quotient imports this module
+        return tuple(section_quotient(self.base, lo, hi).quotient
+                     for lo, hi in self._steps())
 
     @property
     def bottom(self) -> int:
@@ -374,4 +412,4 @@ class Chain:
         return out
 
     def __len__(self) -> int:
-        return len(self.step_orders)
+        return len(self.subsets) - 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bits, mask_of, members
-from .core import FiniteHypergroup, validate
+from .core import FiniteHypergroup
 from .errors import ParseError
 
 
@@ -91,6 +91,7 @@ def parse_document(text: str) -> HypergroupDocument:
     rank = None
     star = None
     identity = 0
+    identity_line = lines[0][0]
     entries: dict[tuple[int, int], int] = {}
     for lineno, line in lines[1:]:
         toks = line.split()
@@ -105,12 +106,15 @@ def parse_document(text: str) -> HypergroupDocument:
             if len(toks) != 2:
                 raise ParseError("identity line needs one index", lineno)
             identity = _int(toks[1], lineno, "identity index")
+            identity_line = lineno
         elif key == "star":
             if rank is None:
                 raise ParseError("star line before rank", lineno)
             if len(toks) != rank + 1:
                 raise ParseError(f"star line needs {rank} indices", lineno)
             star = tuple(_int(t, lineno, "star index") for t in toks[1:])
+            if any(not 0 <= x < rank for x in star):
+                raise ParseError("star index out of range", lineno)
         elif key.lstrip("-").isdigit():
             if rank is None:
                 raise ParseError("table entry before rank", lineno)
@@ -139,7 +143,7 @@ def parse_document(text: str) -> HypergroupDocument:
     if star is None:
         raise ParseError("missing star line", lines[-1][0])
     if not (0 <= identity < rank):
-        raise ParseError("identity index out of range", lines[0][0])
+        raise ParseError("identity index out of range", identity_line)
     missing = [(p, q) for p in range(rank) for q in range(rank)
                if (p, q) not in entries]
     if missing:
@@ -311,10 +315,6 @@ def scheme_to_hypergroup(text: str) -> FiniteHypergroup:
             tp = table[p]
             for z in range(m):
                 tp[row_y[z]] |= 1 << row_x[z]
-    report = validate(tuple(tuple(row) for row in table), tuple(star))
-    if not report.valid:
-        from .errors import InvalidHypergroupError
-        raise InvalidHypergroupError(report)
     return FiniteHypergroup(tuple(tuple(row) for row in table), tuple(star),
                             name=name)
 

@@ -13,15 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bits, subset_key
-from .core import Chain, FiniteHypergroup, complex_product, is_closed
+from .core import Chain, FiniteHypergroup, complex_product, double_cosets_in, is_closed
 from .errors import (
     HypothesisViolationError,
     InternalConsistencyError,
     SearchExhaustedError,
     ValencyUndefinedError,
 )
-from .lattice import closed_subsets, is_strongly_normal
-from .quotient import build_chain, lift, quotient
+from .lattice import climb, closed_subsets, is_normal, is_strongly_normal
+from .quotient import lift, quotient
 from .sigma import (
     PiSelection,
     PrimePartition,
@@ -32,15 +32,28 @@ from .sigma import (
     spans_single_class,
 )
 from .valency import (
-    _chain_to_full,
-    _section_order,
-    _section_thin,
     is_thin,
     rt_chain,
     thin_elements,
     valency,
     valency_of,
 )
+
+
+def _thin_climb(H: FiniteHypergroup, top: int, order_ok) -> tuple[int, ...] | None:
+    """Chain from {0} to top with thin step quotients whose orders pass order_ok."""
+    return climb(H, closed_subsets(H).strongly_normal_in, 1, top,
+                 lambda lo, hi: order_ok(len(double_cosets_in(H, lo, hi))))
+
+
+def _sigma_path(H: FiniteHypergroup, sigma: PrimePartition,
+                top: int) -> tuple[int, ...] | None:
+    """Sigma chain from {0} to the closed top, memoized per (sigma, top)."""
+    memo = H._cache.setdefault("sigma_paths", {})
+    if (sigma, top) not in memo:
+        memo[sigma, top] = _thin_climb(
+            H, top, lambda n: spans_single_class(n, sigma))
+    return memo[sigma, top]
 
 
 def sigma_solvable_chain(H: FiniteHypergroup,
@@ -50,15 +63,8 @@ def sigma_solvable_chain(H: FiniteHypergroup,
     Each step quotient must be thin and each step order must have all its
     prime divisors in one class; different steps may use different classes.
     """
-    memo = H._cache.setdefault("sigma_chains", {})
-    if sigma not in memo:
-        def ok(lo, hi):
-            return (spans_single_class(_section_order(H, lo, hi), sigma)
-                    and _section_thin(H, lo, hi))
-
-        path = _chain_to_full(H, ok)
-        memo[sigma] = build_chain(H, path) if path else None
-    return memo[sigma]
+    path = _sigma_path(H, sigma, H.full)
+    return Chain(H, path) if path else None
 
 
 def is_sigma_solvable(H: FiniteHypergroup, sigma: PrimePartition) -> bool:
@@ -72,12 +78,8 @@ def solvable_chain(H: FiniteHypergroup) -> Chain | None:
     partition it characterises the residually thin sigma-solvable case.
     """
     if "solvable_chain" not in H._cache:
-        def ok(lo, hi):
-            return (is_prime(_section_order(H, lo, hi))
-                    and _section_thin(H, lo, hi))
-
-        path = _chain_to_full(H, ok)
-        H._cache["solvable_chain"] = build_chain(H, path) if path else None
+        path = _thin_climb(H, H.full, is_prime)
+        H._cache["solvable_chain"] = Chain(H, path) if path else None
     return H._cache["solvable_chain"]
 
 
@@ -89,21 +91,9 @@ def subnormal_closed_subsets(H: FiniteHypergroup) -> tuple[int, ...]:
     """Closed subsets joined to the full set by a stepwise-normal chain."""
     if "subnormal" not in H._cache:
         lat = closed_subsets(H)
-        top = lat.position(H.full)
-        down: dict[int, list[int]] = {i: [] for i in range(len(lat.subsets))}
-        for i, j in lat.normal_in:
-            if i != j:
-                down[j].append(i)
-        reach = {top}
-        stack = [top]
-        while stack:
-            node = stack.pop()
-            for prev in down[node]:
-                if prev not in reach:
-                    reach.add(prev)
-                    stack.append(prev)
         H._cache["subnormal"] = tuple(
-            lat.subsets[i] for i in sorted(reach))
+            u for u in lat.subsets
+            if climb(H, lat.normal_in, u, H.full) is not None)
     return H._cache["subnormal"]
 
 
@@ -380,9 +370,6 @@ def solvability_suite(H: FiniteHypergroup,
     solvable; and under the smallest partition, residually thin
     sigma-solvability coincides with the prime-step chain notion.
     """
-    from .core import sub_hypergroup
-    from .lattice import is_normal, is_subnormal
-
     lat = closed_subsets(H)
     h_solv = is_sigma_solvable(H, sigma)
     checks = []
@@ -392,7 +379,7 @@ def solvability_suite(H: FiniteHypergroup,
     if h_solv:
         for c in lat.subsets:
             subs_count += 1
-            if not is_sigma_solvable(sub_hypergroup(H, c), sigma):
+            if _sigma_path(H, sigma, c) is None:
                 subs_viol.append(f"closed subset {list(bits(c))}")
     checks.append(SuiteCheck("closed_subsets_inherit_solvability",
                              subs_count, tuple(subs_viol)))
@@ -422,7 +409,7 @@ def solvability_suite(H: FiniteHypergroup,
     asm_viol = []
     asm_count = 0
     for e in lat.subsets:
-        if is_sigma_solvable(sub_hypergroup(H, e), sigma) and \
+        if _sigma_path(H, sigma, e) is not None and \
                 is_sigma_solvable(quotient(H, e).quotient, sigma):
             asm_count += 1
             if not h_solv:

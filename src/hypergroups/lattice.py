@@ -1,19 +1,17 @@
-"""The lattice of closed subsets with normality and subnormality relations."""
+"""Closed-subset lattice, its normality relations and the chain search over them."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .bitset import bits, subset_key
-from .core import Chain, FiniteHypergroup, closure, complex_product, is_closed, star_set
+from .core import Chain, FiniteHypergroup, closure, complex_product, is_closed
 from .errors import (
     InternalConsistencyError,
     PreconditionError,
     ProductNotClosedError,
     RankCapError,
 )
-from .quotient import build_chain
 
 
 @dataclass(frozen=True)
@@ -127,40 +125,52 @@ def is_strongly_normal(H: FiniteHypergroup, E, F) -> bool:
     return _strongly_normal_unchecked(H, em, fm)
 
 
+def climb(H: FiniteHypergroup, pairs, bottom: int, top: int,
+          step_ok=None) -> tuple[int, ...] | None:
+    """Ascending chain bottom = C0 < ... < Ck = top along a lattice relation.
+
+    pairs is closed_subsets(H).normal_in or .strongly_normal_in; every step
+    is in it and, when step_ok is given, passes step_ok(Ci, Ci+1). Depth
+    first, larger extensions before smaller (ties by member list), so one
+    step to the top wins whenever allowed; subsets from which the top is
+    unreachable are memoized as dead. Returns the masks, or None.
+    """
+    memo = H._cache.setdefault("ascents", {})
+    if pairs not in memo:
+        subsets = closed_subsets(H).subsets
+        memo[pairs] = {m: [] for m in subsets}
+        for i, j in sorted(pairs, key=lambda p: (-subsets[p[1]].bit_count(),
+                                                 subset_key(subsets[p[1]])[1])):
+            if i != j:
+                memo[pairs][subsets[i]].append(subsets[j])
+    up = memo[pairs]
+    dead: set[int] = set()
+
+    def walk(f: int) -> tuple[int, ...] | None:
+        if f == top:
+            return (f,)
+        if f in dead:
+            return None
+        for g in up[f]:
+            if not g & ~top and (step_ok is None or step_ok(f, g)):
+                tail = walk(g)
+                if tail is not None:
+                    return (f,) + tail
+        dead.add(f)
+        return None
+
+    return walk(bottom)
+
+
 def is_subnormal(H: FiniteHypergroup, E, F) -> Chain | None:
     """Witnessing chain E = C0 <= ... <= Ck = F with each step normal.
 
-    Decided by reachability over the lattice's normal_in relation; along an
-    ascending path into F every intermediate subset automatically lies in
-    F. Returns None when no chain exists.
+    The first chain climb finds over the lattice's normal_in relation, not
+    necessarily a shortest one; None when no chain exists.
     """
     em, fm = _require_closed_pair(H, E, F, "is_subnormal")
-    if em == fm:
-        return Chain(subsets=(em,), step_orders=(), step_quotients=())
-    lat = closed_subsets(H)
-    start = lat.position(em)
-    goal = lat.position(fm)
-    up = {i: [] for i in range(len(lat.subsets))}
-    for i, j in lat.normal_in:
-        if i != j:
-            up[i].append(j)
-    for nbrs in up.values():
-        nbrs.sort()
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            path = []
-            while node is not None:
-                path.append(lat.subsets[node])
-                node = parent[node]
-            return build_chain(H, reversed(path))
-        for nxt in up[node]:
-            if nxt not in parent:
-                parent[nxt] = node
-                queue.append(nxt)
-    return None
+    path = climb(H, closed_subsets(H).normal_in, em, fm)
+    return Chain(H, path) if path else None
 
 
 def product_closed(H: FiniteHypergroup, C, D) -> int:

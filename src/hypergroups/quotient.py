@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 from .bitset import bits, mask_of, members
 from .core import (
-    Chain,
     FiniteHypergroup,
     complex_product,
+    double_cosets_in,
     is_closed,
     restrict_subset,
     sub_hypergroup,
@@ -32,17 +32,7 @@ def double_cosets(H: FiniteHypergroup, F) -> tuple[int, ...]:
     fm = H.subset(F)
     if not is_closed(H, fm):
         raise PreconditionError("double_cosets requires a closed subset")
-    blocks = []
-    covered = 0
-    for h in range(H.rank):
-        if (covered >> h) & 1:
-            continue
-        block = complex_product(H, fm, complex_product(H, 1 << h, fm))
-        if block & covered:
-            raise InternalConsistencyError("double cosets failed to partition")
-        blocks.append(block)
-        covered |= block
-    return tuple(blocks)
+    return double_cosets_in(H, fm, H.full)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,17 +123,6 @@ def section_quotient(H: FiniteHypergroup, E, G) -> QuotientMap:
         raise PreconditionError("section_quotient requires E inside G")
     sub = sub_hypergroup(H, gm)
     return quotient(sub, restrict_subset(gm, em))
-
-
-def build_chain(H: FiniteHypergroup, masks) -> Chain:
-    """Assemble a Chain along the given ascending closed subsets."""
-    masks = tuple(masks)
-    quotients = []
-    for lo, hi in zip(masks, masks[1:]):
-        quotients.append(section_quotient(H, lo, hi).quotient)
-    return Chain(subsets=masks,
-                 step_orders=tuple(q.rank for q in quotients),
-                 step_quotients=tuple(quotients))
 
 
 def _element_profile(H: FiniteHypergroup, s: int):

@@ -11,7 +11,7 @@ when none does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PartitionSyntaxError
 

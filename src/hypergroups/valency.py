@@ -1,12 +1,17 @@
-"""Thin elements, residually thin chains and valencies."""
+"""Thin elements, residually thin chains and valencies.
+
+A residually thin chain climbs from the identity subset to the whole set
+with every step quotient thin. A step quotient hi//lo is thin exactly when
+lo is strongly normal in hi, so chains are searched over the lattice's
+strongly_normal_in relation, and the valency of a closed subset C is read
+off a chain from the identity up to C in the same lattice.
+"""
 
 from __future__ import annotations
 
-from .bitset import bits, subset_key
-from .core import Chain, FiniteHypergroup, is_closed, restrict_subset, sub_hypergroup
+from .core import Chain, FiniteHypergroup, is_closed
 from .errors import InternalConsistencyError, PreconditionError, ValencyUndefinedError
-from .lattice import closed_subsets
-from .quotient import build_chain, double_cosets, section_quotient
+from .lattice import climb, closed_subsets
 
 
 def thin_elements(H: FiniteHypergroup) -> int:
@@ -32,46 +37,6 @@ def is_thin(H: FiniteHypergroup) -> bool:
     return True
 
 
-def _section_order(H, lo, hi) -> int:
-    """Number of double cosets of lo inside the sub-hypergroup on hi."""
-    sub = sub_hypergroup(H, hi)
-    return len(double_cosets(sub, restrict_subset(hi, lo)))
-
-
-def _section_thin(H, lo, hi) -> bool:
-    return is_thin(section_quotient(H, lo, hi).quotient)
-
-
-def _chain_to_full(H: FiniteHypergroup, step_ok) -> tuple[int, ...] | None:
-    """Depth-first search for an ascending chain from {0} to the full set.
-
-    Candidate extensions are tried largest first, so a thin hypergroup
-    resolves in a single step. Subsets from which the top is unreachable
-    are memoized as dead.
-    """
-    lat = closed_subsets(H)
-    full = H.full
-    by_size = sorted(lat.subsets, key=lambda m: (-m.bit_count(),) + subset_key(m)[1:])
-    dead: set[int] = set()
-
-    def walk(f: int) -> tuple[int, ...] | None:
-        if f == full:
-            return (f,)
-        if f in dead:
-            return None
-        for g in by_size:
-            if g == f or f & ~g:
-                continue
-            if step_ok(f, g):
-                tail = walk(g)
-                if tail is not None:
-                    return (f,) + tail
-        dead.add(f)
-        return None
-
-    return walk(1)
-
-
 def rt_chain(H: FiniteHypergroup) -> Chain | None:
     """A chain from {0} to the full set with every step quotient thin.
 
@@ -79,8 +44,8 @@ def rt_chain(H: FiniteHypergroup) -> Chain | None:
     search of the closed-subset lattice fails.
     """
     if "rt_chain" not in H._cache:
-        path = _chain_to_full(H, lambda lo, hi: _section_thin(H, lo, hi))
-        H._cache["rt_chain"] = build_chain(H, path) if path else None
+        path = climb(H, closed_subsets(H).strongly_normal_in, 1, H.full)
+        H._cache["rt_chain"] = Chain(H, path) if path else None
     return H._cache["rt_chain"]
 
 
@@ -105,9 +70,11 @@ def valency(H: FiniteHypergroup) -> int:
 def valency_of(H: FiniteHypergroup, C) -> int:
     """Valency of a closed subset, as a hypergroup in its own right.
 
-    Defined whenever the ambient hypergroup is residually thin, because
-    closed subsets inherit residual thinness; the result always divides the
-    ambient valency, and a failure of either guarantee is an internal error.
+    Read off a residually thin chain from the identity up to C in H's own
+    lattice. Defined whenever the ambient hypergroup is residually thin,
+    because closed subsets inherit residual thinness; the result always
+    divides the ambient valency, and a failure of either guarantee is an
+    internal error.
     """
     cm = H.subset(C)
     if not is_closed(H, cm):
@@ -115,24 +82,28 @@ def valency_of(H: FiniteHypergroup, C) -> int:
     if rt_chain(H) is None:
         raise ValencyUndefinedError(
             f"{H.name} is not residually thin, valency undefined")
-    sub = sub_hypergroup(H, cm)
-    chain = rt_chain(sub)
-    if chain is None:
-        raise InternalConsistencyError(
-            "closed subset of a residually thin hypergroup must be residually thin")
-    v = chain.order_product
-    if valency(H) % v:
-        raise InternalConsistencyError("subset valency does not divide the ambient one")
-    return v
+    memo = H._cache.setdefault("valencies", {})
+    if cm not in memo:
+        path = climb(H, closed_subsets(H).strongly_normal_in, 1, cm)
+        if path is None:
+            raise InternalConsistencyError(
+                "closed subset of a residually thin hypergroup must be residually thin")
+        v = Chain(H, path).order_product
+        if valency(H) % v:
+            raise InternalConsistencyError("subset valency does not divide the ambient one")
+        memo[cm] = v
+    return memo[cm]
 
 
 def all_rt_chains(H: FiniteHypergroup, limit: int) -> list[Chain]:
     """Up to limit residually thin chains, in lexicographic subset order.
 
-    Exhaustive backtracking over the lattice; extensions are tried in
-    canonical subset order so the output order is reproducible.
+    Exhaustive backtracking over the lattice's strongly_normal_in relation;
+    extensions are tried in canonical subset order so the output order is
+    reproducible.
     """
     lat = closed_subsets(H)
+    strong = lat.strongly_normal_in
     full = H.full
     out: list[Chain] = []
 
@@ -141,12 +112,11 @@ def all_rt_chains(H: FiniteHypergroup, limit: int) -> list[Chain]:
             return False
         f = prefix[-1]
         if f == full:
-            out.append(build_chain(H, prefix))
+            out.append(Chain(H, tuple(prefix)))
             return len(out) < limit
-        for g in lat.subsets:
-            if g == f or f & ~g:
-                continue
-            if _section_thin(H, f, g):
+        i = lat.index[f]
+        for j, g in enumerate(lat.subsets):
+            if i != j and (i, j) in strong:
                 if not walk(prefix + [g]):
                     return False
         return True

@@ -42,6 +42,15 @@ def test_validate_corrupt_document(capsys, tmp_path):
     assert "missing table entry" in err
 
 
+def test_analyze_bad_star_index_is_input_error(capsys, tmp_path):
+    f = tmp_path / "bad_star.hg"
+    f.write_text("hypergroup h\nrank 2\nidentity 1\nstar 0 5\n"
+                 "0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0\n")
+    code, _, err = run(capsys, "analyze", str(f))
+    assert code == 2
+    assert "star index out of range (line 4)" in err
+
+
 def test_analyze_k2(capsys, fixtures_dir):
     code, out, _ = run(capsys, "analyze", str(fixtures_dir / "k2.hg"))
     assert code == 0

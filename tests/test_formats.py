@@ -84,6 +84,14 @@ def test_parse_errors_carry_line_numbers():
     assert "missing table entry" in str(err.value)
     with pytest.raises(ParseError):
         parse_hypergroup("hypergroup x\nrank 2\nstar 0\n")
+    with pytest.raises(ParseError) as err:
+        parse_hypergroup("hypergroup x\nrank 2\nidentity 1\nstar 0 5\n"
+                         "0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0\n")
+    assert err.value.line == 4 and "star index out of range" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_hypergroup("hypergroup x\nrank 2\nidentity 2\nstar 0 1\n"
+                         "0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0\n")
+    assert err.value.line == 3 and "identity index out of range" in str(err.value)
 
 
 def test_validation_failure_forwarded():

@@ -146,10 +146,18 @@ def test_lift_examples(corpus):
 
 
 def test_strongly_normal_iff_thin_quotient(small_corpus):
+    # The chain searches read thinness of G//E off strongly_normal_in.
     for h in small_corpus.values():
-        for f in closed_subsets(h).subsets:
+        lat = closed_subsets(h)
+        for f in lat.subsets:
             assert is_strongly_normal(h, f, h.full) == \
                 is_thin(quotient(h, f).quotient)
+        for i, e in enumerate(lat.subsets):
+            for j, g in enumerate(lat.subsets):
+                if e & ~g:
+                    continue
+                assert ((i, j) in lat.strongly_normal_in) == \
+                    is_thin(section_quotient(h, e, g).quotient)
 
 
 def test_strong_normality_descends_to_quotients(small_corpus):

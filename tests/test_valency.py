@@ -168,7 +168,9 @@ def test_closed_subsets_inherit_residual_thinness(corpus):
         if not is_residually_thin(h):
             continue
         for c in closed_subsets(h).subsets:
-            assert is_residually_thin(sub_hypergroup(h, c))
+            sub = sub_hypergroup(h, c)
+            assert is_residually_thin(sub)
+            assert valency_of(h, c) == valency(sub)
 
 
 def test_thin_iff_valency_equals_rank(corpus):
