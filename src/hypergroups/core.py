@@ -18,7 +18,8 @@ only, there are no structure constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import NamedTuple
 
 from .bitset import bits, full_mask, mask_of, members
@@ -150,29 +151,47 @@ def validate(table, star, *, rank: int | None = None) -> ValidationReport:
     return ValidationReport(valid=not violations, violations=violations)
 
 
+def _or_rows(a, b):
+    return tuple(map(or_, a, b))
+
+
+class _Unions(dict):
+    """Mask -> entrywise union of vectors[y] over y in mask, filled on first lookup."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def __missing__(self, mask):
+        out = self[mask] = reduce(_or_rows, map(self.vectors.__getitem__, bits(mask)))
+        return out
+
+
 def _associativity_witness(t, n):
-    rng = range(n)
-    for p in rng:
-        rowp = t[p]
-        for q in rng:
-            pq = rowp[q]
-            rowq = t[q]
-            for r in rng:
-                left = 0
-                m = pq
-                while m:
-                    low = m & -m
-                    left |= t[low.bit_length() - 1][r]
-                    m ^= low
-                right = 0
-                m = rowq[r]
-                while m:
-                    low = m & -m
-                    right |= rowp[low.bit_length() - 1]
-                    m ^= low
-                if left != right:
-                    return (p, q, r)
-    return None
+    """First (p, q, r) in scan order with (pq)r != p(qr), or None.
+
+    Compares whole rows over r. The row of (pq)r is the union of the rows
+    t[x] for x in pq; the row of p(qr) holds, for each r, the union of
+    t[p][y] over y in qr. Unions of rows and of columns are memoized per
+    distinct mask, and for one q, zip turns the column unions of the masks
+    t[q][r] into the rows of p(qr) for every p at once. Every pair (p, q)
+    is compared until one fails; after that only smaller p are, which keeps
+    the witness the first in scan order.
+    """
+    rows = _Unions(t)
+    cols = _Unions(tuple(zip(*t)))
+    found = None
+    limit = n
+    for q in range(n):
+        for p, right in zip(range(limit), zip(*map(cols.__getitem__, t[q]))):
+            if rows[t[p][q]] != right:
+                found = (p, q, right)
+                limit = p
+                break
+    if found is None:
+        return None
+    p, q, right = found
+    left = rows[t[p][q]]
+    return (p, q, next(r for r in range(n) if left[r] != right[r]))
 
 
 class FiniteHypergroup:
@@ -262,39 +281,51 @@ def star_set(H: FiniteHypergroup, S) -> int:
 def closure(H: FiniteHypergroup, S) -> int:
     """Smallest closed subset containing S and the identity.
 
-    Fixpoint of T -> T union T*T union T*, computed with a worklist: every
-    pair (a, b) with at least one new member contributes star(a) . b. Stops
-    early once the full set is reached, which is always closed.
+    Computed as the set W of all products of generators: starting from the
+    identity, every new member is multiplied on the right by s and s* for
+    each s in S. W contains S, and every closed subset containing S contains
+    W. W is closed: W . W lies in W by associativity (H1), and W* = W because
+    (pq)* = q*p*, which follows from the adjoint law (H3): r in pq gives
+    p in rq*, then q* in r*p, then r* in q*p*. So star(a) . b lies in W for
+    all a, b in W. Each member costs one table read per generator, not one
+    per member. Stops early once the full set is reached, which is always
+    closed.
     """
     t = H.table
-    star = H.star
     full = H.full
-    mask = H.subset(S) | 1
-    queue = list(bits(mask))
+    seed = H.subset(S)
+    gens = tuple(bits((seed | star_set(H, seed)) & ~1))
+    mask = 1
+    queue = [1]  # masks of members not yet multiplied out
     while queue:
-        u = queue.pop()
-        row_su = t[star[u]]
-        snapshot = mask
-        for v in bits(snapshot):
-            new = row_su[v] | t[star[v]][u]
-            add = new & ~mask
-            if add:
-                mask |= add
-                if mask == full:
-                    return full
-                queue.extend(bits(add))
+        m = queue.pop()
+        while m:
+            low = m & -m
+            m ^= low
+            row = t[low.bit_length() - 1]
+            for g in gens:
+                add = row[g] & ~mask
+                if add:
+                    mask |= add
+                    if mask == full:
+                        return full
+                    queue.append(add)
     return mask
 
 
 def is_closed(H: FiniteHypergroup, S) -> bool:
-    """True iff S is nonempty and equals its own closure."""
+    """True iff S is nonempty and star(a) . b lies in S for all a, b in S."""
     m = H.subset(S)
     if m == 0:
         return False
     memo = H._cache.setdefault("is_closed", {})
     hit = memo.get(m)
     if hit is None:
-        hit = closure(H, m) == m
+        t = H.table
+        star = H.star
+        elems = members(m)
+        outside = ~m
+        hit = not any(t[star[a]][b] & outside for a in elems for b in elems)
         memo[m] = hit
     return hit
 

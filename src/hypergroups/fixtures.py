@@ -115,6 +115,12 @@ def alt5() -> FiniteHypergroup:
     return thin_from_table(group_table([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]), "a5")
 
 
+@lru_cache(maxsize=None)
+def sym5() -> FiniteHypergroup:
+    """Order 120; its lattice needs an explicit rank cap of 120."""
+    return thin_from_table(group_table([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]), "s5")
+
+
 def int_table(H: FiniteHypergroup) -> list[list[int]]:
     """Integer Cayley table of a thin hypergroup (all products singletons)."""
     out = []

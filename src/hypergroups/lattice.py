@@ -57,11 +57,14 @@ def _strongly_normal_unchecked(H, E, F) -> bool:
 def closed_subsets(H: FiniteHypergroup) -> ClosedSubsetLattice:
     """Enumerate every closed subset and the normality relations.
 
-    Breadth-first extension instead of a powerset sweep: starting from the
-    identity subset, close F extended by each missing element until nothing
-    new appears. Every closed subset is reached this way, one element of it
-    at a time. Refuses above the instance's rank cap, where an exhaustive
-    enumeration is no longer guaranteed to be affordable.
+    Cyclic extension instead of a powerset sweep: the distinct closures of
+    single elements are computed once, each with one representative. Starting
+    from the identity subset, a depth-first stack extends each closed F by
+    every such closure not already inside F, closing F's generators together
+    with the representative. Every closed subset is the closure of its
+    members, so it is reached one cyclic closure at a time. Refuses above the
+    instance's rank cap, where an exhaustive enumeration is no longer
+    guaranteed to be affordable.
     """
     if "lattice" in H._cache:
         return H._cache["lattice"]
@@ -69,17 +72,21 @@ def closed_subsets(H: FiniteHypergroup) -> ClosedSubsetLattice:
         raise RankCapError(
             f"rank {H.rank} exceeds the lattice cap {H.rank_cap}; "
             "raise the cap explicitly to proceed")
-    found = {closure(H, 0)}
-    frontier = list(found)
-    while frontier:
-        f = frontier.pop()
-        missing = H.full & ~f
-        for x in bits(missing):
-            g = closure(H, f | (1 << x))
-            if g not in found:
-                found.add(g)
-                frontier.append(g)
-    subsets = tuple(sorted(found, key=subset_key))
+    cyclic: dict[int, int] = {}
+    for x in range(1, H.rank):
+        cyclic.setdefault(closure(H, 1 << x), x)
+    gens = {1: 0}  # closed subset -> a generating mask; {0} needs none
+    stack = [1]
+    while stack:
+        f = stack.pop()
+        for c, x in cyclic.items():
+            if c & ~f:
+                g_gens = gens[f] | 1 << x
+                g = closure(H, g_gens)
+                if g not in gens:
+                    gens[g] = g_gens
+                    stack.append(g)
+    subsets = tuple(sorted(gens, key=subset_key))
     index = {m: i for i, m in enumerate(subsets)}
 
     normal = set()

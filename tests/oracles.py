@@ -39,6 +39,36 @@ def naive_axioms(table, star) -> set[str]:
     return bad
 
 
+def naive_associativity_witness(t, n):
+    """First (p, q, r) in scan order with (pq)r != p(qr), or None.
+
+    One triple at a time on a table of bitmasks: the scan the package's
+    row-at-a-time check must agree with, witness for witness.
+    """
+    rng = range(n)
+    for p in rng:
+        rowp = t[p]
+        for q in rng:
+            pq = rowp[q]
+            rowq = t[q]
+            for r in rng:
+                left = 0
+                m = pq
+                while m:
+                    low = m & -m
+                    left |= t[low.bit_length() - 1][r]
+                    m ^= low
+                right = 0
+                m = rowq[r]
+                while m:
+                    low = m & -m
+                    right |= rowp[low.bit_length() - 1]
+                    m ^= low
+                if left != right:
+                    return (p, q, r)
+    return None
+
+
 def sets_of(H):
     """Package hypergroup -> (table of python sets, star list)."""
     from hypergroups import members
@@ -70,6 +100,23 @@ def naive_closed_subsets(table, star) -> set[frozenset[int]]:
         for seed in combinations(elems, k):
             out.add(naive_closure(table, star, seed))
     return out
+
+
+def naive_extension_closed_subsets(table, star) -> set[frozenset[int]]:
+    """Closed subsets by one-element extension: close F with each missing
+    element, from the identity subset until nothing new appears."""
+    n = len(table)
+    found = {naive_closure(table, star, ())}
+    frontier = list(found)
+    while frontier:
+        f = frontier.pop()
+        for x in range(n):
+            if x not in f:
+                g = naive_closure(table, star, f | {x})
+                if g not in found:
+                    found.add(g)
+                    frontier.append(g)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hypergroups import cli, core
 from hypergroups.cli import main
 from hypergroups import fixtures as fx
 from hypergroups.formats import serialize_hypergroup
@@ -26,6 +27,22 @@ def test_validate_broken_table(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(f))
     assert code == 1
     assert "H3" in out
+
+
+def test_validate_cayley_runs_the_axiom_check_once(capsys, fixtures_dir, monkeypatch):
+    calls = []
+    real = core.validate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "validate", counting)
+    monkeypatch.setattr(cli, "validate", counting)
+    code, out, _ = run(capsys, "validate", str(fixtures_dir / "s3.cayley"))
+    assert code == 0
+    assert "valid: yes" in out
+    assert len(calls) == 1
 
 
 def test_validate_missing_file(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,16 @@ from hypergroups import (
     sub_hypergroup,
     validate,
 )
+from hypergroups import core
 from hypergroups import fixtures as fx
 
-from oracles import naive_axioms, naive_closed_subsets, naive_closure, sets_of
+from oracles import (
+    naive_associativity_witness,
+    naive_axioms,
+    naive_closed_subsets,
+    naive_closure,
+    sets_of,
+)
 
 C2_TABLE = [[{0}, {1}], [{1}, {0}]]
 K2_TABLE = [[{0}, {1}], [{1}, {0, 1}]]
@@ -143,6 +152,8 @@ def test_closure_minimal_against_powerset_oracle(small_corpus):
         for seed_mask in range(1 << h.rank):
             got = closure(h, seed_mask)
             assert is_closed(h, got)
+            assert is_closed(h, seed_mask) == \
+                (frozenset(members(seed_mask)) in all_closed)
             assert got | seed_mask == got
             want = set(members(seed_mask)) | {0}
             for other in all_closed:
@@ -230,3 +241,53 @@ def test_closure_fixpoint_under_star_and_identity(corpus):
             c = closure(h, [s])
             assert c & 1
             assert star_set(h, c) == c
+
+
+def test_closure_matches_pair_rule(corpus, group_quotients):
+    # The generator-product closure against the pair rule T -> T u T*T on
+    # python sets, including non-thin quotients up to rank 24: every single
+    # element, then random seeds of two or three elements.
+    rng = random.Random(9_07778)
+    for h in [*corpus.values(), *group_quotients.values()]:
+        table, star = sets_of(h)
+        seeds = [[x] for x in range(h.rank)]
+        seeds += [rng.sample(range(h.rank), rng.randint(2, 3))
+                  for _ in range(12) if h.rank >= 3]
+        for seed in seeds:
+            want = naive_closure(table, star, seed)
+            assert members(closure(h, seed)) == tuple(sorted(want))
+
+
+def _mutated_tables(rng, h, count):
+    """Copies of h's table and star with a few random defects each."""
+    n = h.rank
+    for _ in range(count):
+        table = [list(row) for row in h.table]
+        star = list(h.star)
+        kind = rng.randrange(4)
+        if kind == 3:
+            a, b = rng.sample(range(n), 2)
+            star[a], star[b] = star[b], star[a]
+        for _ in range(kind):
+            p, q = rng.randrange(n), rng.randrange(n)
+            flipped = table[p][q] ^ (1 << rng.randrange(n))
+            table[p][q] = flipped or 1 << rng.randrange(n)
+        yield table, star
+
+
+def test_validate_matches_triple_scan_on_mutated_tables(corpus, monkeypatch):
+    # The row-at-a-time associativity check must give the same report,
+    # witnesses included, as the one-triple-at-a-time scan.
+    rng = random.Random(2409_07778)
+    cases = []
+    for h in corpus.values():
+        if h.rank > 1:
+            cases.extend(_mutated_tables(rng, h, 60))
+    got = [validate(t, s) for t, s in cases]
+    monkeypatch.setattr(core, "_associativity_witness", naive_associativity_witness)
+    want = [validate(t, s) for t, s in cases]
+    assert got == want
+    h1 = sum("H1" in r.axioms() for r in got)
+    assert 0 < h1 < len(got)
+    assert any(not r.valid and "H1" not in r.axioms() for r in got)
+

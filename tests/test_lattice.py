@@ -18,7 +18,7 @@ from hypergroups import (
 )
 from hypergroups import fixtures as fx
 
-from oracles import naive_closed_subsets, sets_of
+from oracles import naive_closed_subsets, naive_extension_closed_subsets, sets_of
 
 
 def _a3(s3):
@@ -37,6 +37,23 @@ def test_enumeration_matches_powerset_oracle(small_corpus):
         table, star = sets_of(h)
         oracle = {mask_of(s) for s in naive_closed_subsets(table, star)}
         assert set(closed_subsets(h).subsets) == oracle
+
+
+def test_enumeration_matches_one_element_extension(group_quotients):
+    # Cyclic extension against closing F with each missing element by the
+    # pair rule, on every double-coset quotient of the group members.
+    for h in group_quotients.values():
+        table, star = sets_of(h)
+        oracle = {mask_of(s) for s in naive_extension_closed_subsets(table, star)}
+        assert set(closed_subsets(h).subsets) == oracle
+
+
+def test_s5_lattice_counts():
+    # S5 has 156 subgroups; its 570 normal pairs are all strongly normal.
+    lat = closed_subsets(fx.sym5().with_rank_cap(120))
+    assert len(lat.subsets) == 156
+    assert len(lat.normal_in) == 570
+    assert len(lat.strongly_normal_in) == 570
 
 
 def test_s3_has_six_closed_subsets(corpus):
