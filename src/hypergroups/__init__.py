@@ -19,7 +19,6 @@ from .core import (
     restrict_subset,
     star_set,
     sub_hypergroup,
-    unrestrict_subset,
     validate,
 )
 from .errors import (

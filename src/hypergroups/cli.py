@@ -26,11 +26,10 @@ from .errors import (
     ValencyUndefinedError,
 )
 from .formats import (
-    cayley_to_hypergroup,
     detect_format,
     load_any,
+    load_as,
     parse_document,
-    scheme_to_hypergroup,
     serialize_hypergroup,
 )
 from .hall import pi_radical, solvability_suite, verify_hall
@@ -80,10 +79,11 @@ def _sigma_pi(args):
 
 def cmd_validate(args) -> int:
     text = _read(args.file)
-    if detect_format(text) != "hypergroup":
+    fmt = detect_format(text)
+    if fmt != "hypergroup":
         # Conversion validates: it returns only valid hypergroups and raises
         # on invalid tables, so a second check could only answer "valid".
-        load_any(text)
+        load_as(text, fmt)
         report = ValidationReport(valid=True, violations=())
     else:
         doc = parse_document(text)
@@ -260,11 +260,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    text = _read(args.file)
-    if args.from_format == "cayley":
-        h = cayley_to_hypergroup(text)
-    else:
-        h = scheme_to_hypergroup(text)
+    h = load_as(_read(args.file), args.from_format)
     sys.stdout.write(serialize_hypergroup(h))
     return 0
 

@@ -223,9 +223,6 @@ class FiniteHypergroup:
     def full(self) -> int:
         return full_mask(self.rank)
 
-    def product(self, p: int, q: int) -> int:
-        return self.table[p][q]
-
     def with_rank_cap(self, cap: int) -> "FiniteHypergroup":
         """Copy sharing the table, with a different lattice refusal threshold."""
         h = FiniteHypergroup(self.table, self.star, name=self.name,
@@ -371,15 +368,6 @@ def restrict_subset(F, S) -> int:
     return out
 
 
-def unrestrict_subset(F, S_sub) -> int:
-    """Inverse of restrict_subset: sub coordinates back to ambient ones."""
-    out = 0
-    for i, e in enumerate(bits(F)):
-        if (S_sub >> i) & 1:
-            out |= 1 << e
-    return out
-
-
 def double_cosets_in(H: FiniteHypergroup, lo: int, hi: int) -> tuple[int, ...]:
     """Double cosets lo h lo for h in hi, closed lo <= hi, in H's coordinates.
 
@@ -426,14 +414,6 @@ class Chain:
         from .quotient import section_quotient  # quotient imports this module
         return tuple(section_quotient(self.base, lo, hi).quotient
                      for lo, hi in self._steps())
-
-    @property
-    def bottom(self) -> int:
-        return self.subsets[0]
-
-    @property
-    def top(self) -> int:
-        return self.subsets[-1]
 
     @property
     def order_product(self) -> int:

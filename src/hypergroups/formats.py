@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .bitset import bits, mask_of, members
 from .core import FiniteHypergroup
-from .errors import ParseError
+from .errors import InvalidHypergroupError, ParseError
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,9 @@ class HypergroupDocument:
             star, table = _relabel(self.rank, star, table, self.identity)
         return table, star
 
-    def build(self, *, rank_cap=None) -> FiniteHypergroup:
+    def build(self) -> FiniteHypergroup:
         table, star = self.candidate()
-        kwargs = {} if rank_cap is None else {"rank_cap": rank_cap}
-        return FiniteHypergroup(table, star, name=self.name, **kwargs)
+        return FiniteHypergroup(table, star, name=self.name)
 
 
 def _relabel(rank, star, table, ident):
@@ -71,6 +70,18 @@ def _meaningful_lines(text: str):
             yield lineno, line
 
 
+def _header(lines, keyword: str, default_name: str) -> str:
+    """Name from the '<keyword> <name>' first meaningful line of a document."""
+    if not lines:
+        raise ParseError("empty document", 1)
+    lineno, head = lines[0]
+    parts = head.split(None, 1)
+    if parts[0] != keyword:
+        raise ParseError(f"expected '{keyword} <name>' header, got {parts[0]!r}",
+                         lineno)
+    return parts[1].strip() if len(parts) > 1 else default_name
+
+
 def _int(tok: str, lineno: int, what: str) -> int:
     try:
         return int(tok)
@@ -80,14 +91,7 @@ def _int(tok: str, lineno: int, what: str) -> int:
 
 def parse_document(text: str) -> HypergroupDocument:
     lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ParseError("empty document", 1)
-    lineno, head = lines[0]
-    head_parts = head.split(None, 1)
-    if head_parts[0] != "hypergroup":
-        raise ParseError(f"expected 'hypergroup <name>' header, got {head_parts[0]!r}",
-                         lineno)
-    name = head_parts[1].strip() if len(head_parts) > 1 else "H"
+    name = _header(lines, "hypergroup", "H")
     rank = None
     star = None
     identity = 0
@@ -175,18 +179,15 @@ def cayley_to_hypergroup(text: str) -> FiniteHypergroup:
     """Read a group's Cayley table as a thin hypergroup.
 
     Every product becomes the singleton set containing it; the star map is
-    the group inverse, derived from the table. Latin-square shape, the
-    identity row and column, and associativity are each checked with a
-    specific error before validation.
+    the inverse read off the table. Latin-square shape and the identity
+    row and column are checked here, each with its own error. Associativity
+    is left to the axiom check that every FiniteHypergroup runs on
+    construction: a Latin square with an identity that is associative is a
+    group, so H1 is the only axiom such a table can break, and its witness,
+    the first (a, b, c) in scan order, is reported at the line of row a.
     """
     lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ParseError("empty document", 1)
-    lineno, head = lines[0]
-    parts = head.split(None, 1)
-    if parts[0] != "group":
-        raise ParseError(f"expected 'group <name>' header, got {parts[0]!r}", lineno)
-    name = parts[1].strip() if len(parts) > 1 else "G"
+    name = _header(lines, "group", "G")
     if len(lines) < 2 or lines[1][1].split()[0] != "order":
         raise ParseError("expected 'order <n>' line", lines[0][0] + 1)
     lineno, order_line = lines[1]
@@ -232,19 +233,15 @@ def cayley_to_hypergroup(text: str) -> FiniteHypergroup:
         if col != list(range(n)):
             raise ParseError(f"not a Latin square: repeated symbol in column {i}",
                              rows[0][0])
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise ParseError(
-                        f"not associative at ({symbols[a]},{symbols[b]},{symbols[c]})",
-                        rows[a][0])
-    inv = [0] * n
-    for a in range(n):
-        inv[a] = table[a].index(0)
-    masks = tuple(tuple(1 << table[a][b] for b in range(n)) for a in range(n))
-    return FiniteHypergroup(masks, tuple(inv), name=name)
+    inv = tuple(row.index(0) for row in table)
+    masks = tuple(tuple(1 << x for x in row) for row in table)
+    try:
+        return FiniteHypergroup(masks, inv, name=name)
+    except InvalidHypergroupError as exc:
+        a, b, c = next(v.witness for v in exc.report.violations if v.axiom == "H1")
+        raise ParseError(
+            f"not associative at ({symbols[a]},{symbols[b]},{symbols[c]})",
+            rows[a][0]) from None
 
 
 def scheme_to_hypergroup(text: str) -> FiniteHypergroup:
@@ -255,13 +252,7 @@ def scheme_to_hypergroup(text: str) -> FiniteHypergroup:
     Structure constants are discarded; only supports are kept.
     """
     lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ParseError("empty document", 1)
-    lineno, head = lines[0]
-    parts = head.split(None, 1)
-    if parts[0] != "scheme":
-        raise ParseError(f"expected 'scheme <name>' header, got {parts[0]!r}", lineno)
-    name = parts[1].strip() if len(parts) > 1 else "S"
+    name = _header(lines, "scheme", "S")
     if len(lines) < 2 or lines[1][1].split()[0] != "points":
         raise ParseError("expected 'points <m>' line", lines[0][0] + 1)
     lineno, pts_line = lines[1]
@@ -319,22 +310,28 @@ def scheme_to_hypergroup(text: str) -> FiniteHypergroup:
                             name=name)
 
 
+# Header keyword -> format name. Each format's reader is looked up when a
+# document is read, so a rebinding of a reader in this module takes effect.
+_FORMATS = {"hypergroup": "hypergroup", "group": "cayley", "scheme": "scheme"}
+
+
 def detect_format(text: str) -> str:
-    """First meaningful keyword: hypergroup, group (Cayley) or scheme."""
-    for _, line in _meaningful_lines(text):
+    """Format named by the first meaningful keyword: hypergroup, cayley or scheme."""
+    for lineno, line in _meaningful_lines(text):
         key = line.split(None, 1)[0]
-        if key in ("hypergroup", "group", "scheme"):
-            return {"hypergroup": "hypergroup", "group": "cayley",
-                    "scheme": "scheme"}[key]
-        raise ParseError(f"unrecognized document header {key!r}", 1)
+        if key not in _FORMATS:
+            raise ParseError(f"unrecognized document header {key!r}", lineno)
+        return _FORMATS[key]
     raise ParseError("empty document", 1)
+
+
+def load_as(text: str, fmt: str) -> FiniteHypergroup:
+    """Read text as the named format (hypergroup, cayley or scheme), validated."""
+    reader = {"hypergroup": parse_hypergroup, "cayley": cayley_to_hypergroup,
+              "scheme": scheme_to_hypergroup}[fmt]
+    return reader(text)
 
 
 def load_any(text: str) -> FiniteHypergroup:
     """Parse any of the three formats, converting to a hypergroup."""
-    fmt = detect_format(text)
-    if fmt == "hypergroup":
-        return parse_hypergroup(text)
-    if fmt == "cayley":
-        return cayley_to_hypergroup(text)
-    return scheme_to_hypergroup(text)
+    return load_as(text, detect_format(text))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypergroups import cli, core
+from hypergroups import cli, core, formats
 from hypergroups.cli import main
 from hypergroups import fixtures as fx
 from hypergroups.formats import serialize_hypergroup
@@ -234,6 +234,28 @@ def test_convert_malformed(capsys, tmp_path):
     f.write_text("group bad\norder 2\ne e\ne e\n")
     code, _, err = run(capsys, "convert", str(f), "--from", "cayley")
     assert code == 2
+
+
+def test_readers_are_looked_up_at_call_time(capsys, fixtures_dir, monkeypatch):
+    # A tracer that rebinds a reader in hypergroups.formats must see every
+    # document that load_any and convert read.
+    calls = []
+    for name in ("parse_hypergroup", "cayley_to_hypergroup", "scheme_to_hypergroup"):
+        real = getattr(formats, name)
+
+        def counting(text, name=name, real=real):
+            calls.append(name)
+            return real(text)
+
+        monkeypatch.setattr(formats, name, counting)
+    for file in ("k2.hg", "z2.cayley", "k3.scheme"):
+        formats.load_any((fixtures_dir / file).read_text())
+    assert calls == ["parse_hypergroup", "cayley_to_hypergroup", "scheme_to_hypergroup"]
+    calls.clear()
+    for file, fmt in (("z2.cayley", "cayley"), ("k3.scheme", "scheme")):
+        code, _, _ = run(capsys, "convert", str(fixtures_dir / file), "--from", fmt)
+        assert code == 0
+    assert calls == ["cayley_to_hypergroup", "scheme_to_hypergroup"]
 
 
 def test_exit_codes_on_corpus_files(capsys, fixtures_dir):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hypergroups import (
@@ -15,6 +17,8 @@ from hypergroups import (
     valency,
 )
 from hypergroups import fixtures as fx
+
+from oracles import naive_associativity_witness
 
 K2_DOC = """hypergroup k2
 rank 2
@@ -141,6 +145,57 @@ def test_cayley_rejects_non_associative_loop():
     assert "associative" in str(err.value)
 
 
+def _reduced_latin_square(n, rng):
+    """Random n x n Latin square with first row and column 0..n-1, filled
+    cell by cell in row order with backtracking."""
+    t = [[r if c == 0 else c if r == 0 else None for c in range(n)]
+         for r in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        r, c = cells[i]
+        used = set(t[r]) | {t[k][c] for k in range(n)}
+        values = [v for v in range(n) if v not in used]
+        rng.shuffle(values)
+        for v in values:
+            t[r][c] = v
+            if fill(i + 1):
+                return True
+        t[r][c] = None
+        return False
+
+    assert fill(0)
+    return t
+
+
+def test_cayley_reader_matches_associativity_oracle():
+    rng = random.Random(5)
+    rejected = 0
+    for k in range(1000):
+        n = 2 + k % 8
+        t = _reduced_latin_square(n, rng)
+        symbols = [f"s{i}" for i in range(n)]
+        text = f"group g{k}\norder {n}\n" + "".join(
+            " ".join(symbols[x] for x in row) + "\n" for row in t)
+        masks = tuple(tuple(1 << x for x in row) for row in t)
+        witness = naive_associativity_witness(masks, n)
+        if witness is None:
+            h = cayley_to_hypergroup(text)
+            assert h.table == masks
+            assert h.star == tuple(row.index(0) for row in t)
+            continue
+        a, b, c = witness
+        with pytest.raises(ParseError) as err:
+            cayley_to_hypergroup(text)
+        assert str(err.value) == (f"not associative at (s{a},s{b},s{c}) "
+                                  f"(line {a + 3})")
+        assert err.value.line == a + 3
+        rejected += 1
+    assert 300 < rejected < 900
+
+
 def test_scheme_complete_graph_is_k2(corpus):
     h = scheme_to_hypergroup("scheme k3\npoints 3\n0 1 1\n1 0 1\n1 1 0\n")
     assert h.table == corpus["k2"].table
@@ -187,8 +242,9 @@ def test_detect_format():
     assert detect_format(K2_DOC) == "hypergroup"
     assert detect_format("group z2\norder 2\ne a\na e\n") == "cayley"
     assert detect_format("scheme x\npoints 1\n0\n") == "scheme"
-    with pytest.raises(ParseError):
-        detect_format("widget w\n")
+    with pytest.raises(ParseError) as err:
+        detect_format("# c\n\nwidget w")
+    assert str(err.value) == "unrecognized document header 'widget' (line 3)"
     with pytest.raises(ParseError):
         detect_format("   \n# nothing\n")
 

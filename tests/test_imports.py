@@ -1,15 +1,20 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+top-level definition of a package module is used somewhere.
 
-A stdlib stand-in for a linter's unused-import rule, over every module of
-src/hypergroups except the package __init__, whose imports are its exports.
+Stdlib stand-ins for a linter's unused-import and dead-code rules, over
+every module of src/hypergroups except the package __init__, whose imports
+are its exports.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "hypergroups"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "hypergroups"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -34,3 +39,43 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+def _mentions(tree) -> Counter:
+    """Identifiers a tree names: variables, attributes, imported names and
+    strings that are identifiers (as in getattr or monkeypatch.setattr)."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out[node.value] += 1
+    return out
+
+
+def test_every_definition_is_used():
+    # Uses outside the package module: other modules, tests, the benchmark
+    # scripts and the console entry point in pyproject.toml. The __init__
+    # re-exports are not uses.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*MODULES, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]}
+    mentions = {path: _mentions(tree) for path, tree in trees.items()}
+    pyproject = set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
+    dead = []
+    for path in MODULES:
+        elsewhere = set(pyproject)
+        for other, counts in mentions.items():
+            if other != path:
+                elsewhere.update(counts)
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = mentions[path] - _mentions(node)
+            if node.name not in elsewhere and not own[node.name]:
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead, f"definitions used nowhere: {', '.join(dead)}"
