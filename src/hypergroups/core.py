@@ -64,9 +64,8 @@ def _entry_mask(entry, rank: int, p: int, q: int) -> int:
     return m
 
 
-def _normalize_candidate(table, star, rank):
-    if rank is None:
-        rank = len(table)
+def _normalize_candidate(table, star):
+    rank = len(table)
     if rank < 1:
         raise StructuralError("rank must be at least 1")
     star_t = tuple(int(s) for s in star)
@@ -74,8 +73,6 @@ def _normalize_candidate(table, star, rank):
         raise StructuralError(f"star must list {rank} images, got {len(star_t)}")
     if any(s < 0 or s >= rank for s in star_t):
         raise StructuralError("star image out of range")
-    if len(table) != rank:
-        raise StructuralError(f"table must have {rank} rows, got {len(table)}")
     rows = []
     for p, row in enumerate(table):
         row = list(row)
@@ -85,7 +82,7 @@ def _normalize_candidate(table, star, rank):
     return tuple(rows), star_t, rank
 
 
-def validate(table, star, *, rank: int | None = None) -> ValidationReport:
+def validate(table, star) -> ValidationReport:
     """Check a raw candidate (table of subsets, star map) against the axioms.
 
     Returns a report listing, for every violated axiom, the first witness
@@ -93,7 +90,7 @@ def validate(table, star, *, rank: int | None = None) -> ValidationReport:
     indices, empty product sets) raise StructuralError instead of being
     reported as axiom violations.
     """
-    t, star_t, n = _normalize_candidate(table, star, rank)
+    t, star_t, n = _normalize_candidate(table, star)
     found: dict[str, tuple[int, int, int]] = {}
 
     def record(axiom, witness):
@@ -198,16 +195,17 @@ class FiniteHypergroup:
     """Immutable validated hypergroup on elements 0..rank-1, identity 0.
 
     All operations on hypergroups in this package are pure functions;
-    instances may be shared freely between workers. Derived objects
-    (sub-hypergroups, quotients, the closed-subset lattice) are cached on
-    the instance after first computation.
+    instances may be shared freely between workers. Every derived fact
+    (sub-hypergroups, quotients, the closed-subset lattice, chains, ...) is
+    kept after first computation in the instance's one store, read and
+    written only through cached().
     """
 
     __slots__ = ("rank", "star", "table", "name", "rank_cap", "_cache")
 
     def __init__(self, table, star, *, name: str = "H",
                  rank_cap: int = DEFAULT_RANK_CAP, check: bool = True):
-        t, star_t, n = _normalize_candidate(table, star, None)
+        t, star_t, n = _normalize_candidate(table, star)
         if check:
             report = validate(t, star_t)
             if not report.valid:
@@ -248,6 +246,17 @@ class FiniteHypergroup:
 
     def __repr__(self):
         return f"FiniteHypergroup({self.name!r}, rank={self.rank})"
+
+
+def cached(H: FiniteHypergroup, key, compute):
+    """The fact of H stored under key (a name, or a name and the arguments
+    the fact depends on), from compute() on first use. The one store of
+    derived facts; a compute() that raises stores nothing.
+    """
+    store = H._cache
+    if key not in store:
+        store[key] = compute()
+    return store[key]
 
 
 def complex_product(H: FiniteHypergroup, P, Q) -> int:
@@ -315,16 +324,12 @@ def is_closed(H: FiniteHypergroup, S) -> bool:
     m = H.subset(S)
     if m == 0:
         return False
-    memo = H._cache.setdefault("is_closed", {})
-    hit = memo.get(m)
-    if hit is None:
-        t = H.table
-        star = H.star
-        elems = members(m)
-        outside = ~m
-        hit = not any(t[star[a]][b] & outside for a in elems for b in elems)
-        memo[m] = hit
-    return hit
+
+    def compute():
+        t, star, elems = H.table, H.star, members(m)
+        return not any(t[star[a]][b] & ~m for a in elems for b in elems)
+
+    return cached(H, ("is_closed", m), compute)
 
 
 def sub_hypergroup(H: FiniteHypergroup, F) -> FiniteHypergroup:
@@ -337,9 +342,10 @@ def sub_hypergroup(H: FiniteHypergroup, F) -> FiniteHypergroup:
     fm = H.subset(F)
     if not is_closed(H, fm):
         raise PreconditionError("sub_hypergroup requires a closed subset")
-    memo = H._cache.setdefault("subs", {})
-    if fm in memo:
-        return memo[fm]
+    return cached(H, ("sub", fm), lambda: _build_sub(H, fm))
+
+
+def _build_sub(H: FiniteHypergroup, fm: int) -> FiniteHypergroup:
     elems = members(fm)
     pos = {e: i for i, e in enumerate(elems)}
     star = tuple(pos[H.star[e]] for e in elems)
@@ -353,10 +359,8 @@ def sub_hypergroup(H: FiniteHypergroup, F) -> FiniteHypergroup:
             row.append(mask_of(pos[x] for x in bits(m)))
         table.append(tuple(row))
     name = f"{H.name}[{','.join(map(str, elems))}]"
-    sub = FiniteHypergroup(tuple(table), star, name=name,
-                           rank_cap=H.rank_cap, check=False)
-    memo[fm] = sub
-    return sub
+    return FiniteHypergroup(tuple(table), star, name=name,
+                            rank_cap=H.rank_cap, check=False)
 
 
 def restrict_subset(F, S) -> int:
@@ -372,18 +376,22 @@ def double_cosets_in(H: FiniteHypergroup, lo: int, hi: int) -> tuple[int, ...]:
     """Double cosets lo h lo for h in hi, closed lo <= hi, in H's coordinates.
 
     Blocks come out ordered by smallest member, so lo itself is first.
+    Stored, as their number is the order of a chain step lo < hi.
     """
-    blocks = []
-    covered = 0
-    for h in bits(hi):
-        if (covered >> h) & 1:
-            continue
-        block = complex_product(H, lo, complex_product(H, 1 << h, lo))
-        if block & covered:
-            raise InternalConsistencyError("double cosets failed to partition")
-        blocks.append(block)
-        covered |= block
-    return tuple(blocks)
+    def compute():
+        blocks = []
+        covered = 0
+        for h in bits(hi):
+            if (covered >> h) & 1:
+                continue
+            block = complex_product(H, lo, complex_product(H, 1 << h, lo))
+            if block & covered:
+                raise InternalConsistencyError("double cosets failed to partition")
+            blocks.append(block)
+            covered |= block
+        return tuple(blocks)
+
+    return cached(H, ("double_cosets", lo, hi), compute)
 
 
 @dataclass(frozen=True)

@@ -67,13 +67,9 @@ class InternalConsistencyError(HypergroupError):
 class ParseError(HypergroupError):
     """Syntax error in a document, with 1-based line position."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(f"{message} (line {line})")
 
 
 class PartitionSyntaxError(HypergroupError):

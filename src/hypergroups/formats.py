@@ -16,12 +16,16 @@ match it, making the first symbol the identity.
 
 Scheme format: "scheme <name>", "points <m>", then an m x m integer matrix
 entry (i, j) = index of the relation containing the pair; relation 0 must
-be exactly the diagonal. Only the support of relation composition is kept.
+be exactly the diagonal, the transpose of a relation must be a relation, and
+the intersection numbers must be constant on each relation, so that the
+matrix is an association scheme. Only the support of relation composition
+is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .bitset import bits, mask_of, members
 from .core import FiniteHypergroup
@@ -97,9 +101,14 @@ def parse_document(text: str) -> HypergroupDocument:
     identity = 0
     identity_line = lines[0][0]
     entries: dict[tuple[int, int], int] = {}
+    headers = set()
     for lineno, line in lines[1:]:
         toks = line.split()
         key = toks[0]
+        if key in headers:
+            raise ParseError(f"duplicate {key} line", lineno)
+        if key in ("rank", "identity", "star"):
+            headers.add(key)
         if key == "rank":
             if len(toks) != 2:
                 raise ParseError("rank line needs one integer", lineno)
@@ -297,15 +306,25 @@ def scheme_to_hypergroup(text: str) -> FiniteHypergroup:
             elif star[p] != pt:
                 raise ParseError(
                     f"transpose pairing ill-defined for relation {p}", rows[i][0])
+    # A scheme: for (x, z) in relation k, the multiset of relation pairs
+    # (x y, y z) over the points y, coded p * r + q, depends on k alone.
+    # So one pair of each relation gives the supports: k lies in p q iff
+    # (p, q) is in the multiset of k.
+    cols = tuple(zip(*mat))
     table = [[0] * r for _ in range(r)]
+    first = {}
     for x in range(m):
-        row_x = mat[x]
-        for y in range(m):
-            p = row_x[y]
-            row_y = mat[y]
-            tp = table[p]
-            for z in range(m):
-                tp[row_y[z]] |= 1 << row_x[z]
+        coded = [p * r for p in mat[x]]
+        for z, k in enumerate(mat[x]):
+            numbers = sorted(map(add, coded, cols[z]))
+            pair, want = first.setdefault(k, ((x, z), numbers))
+            if numbers != want:
+                raise ParseError(
+                    f"intersection numbers of relation {k} differ between "
+                    f"({pair[0]},{pair[1]}) and ({x},{z})", rows[x][0])
+            if pair == (x, z):
+                for pq in numbers:
+                    table[pq // r][pq % r] |= 1 << k
     return FiniteHypergroup(tuple(tuple(row) for row in table), tuple(star),
                             name=name)
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bits, subset_key
-from .core import Chain, FiniteHypergroup, complex_product, double_cosets_in, is_closed
+from .core import Chain, FiniteHypergroup, cached, complex_product, is_closed
 from .errors import (
     HypothesisViolationError,
     InternalConsistencyError,
     SearchExhaustedError,
     ValencyUndefinedError,
 )
-from .lattice import climb, closed_subsets, is_normal, is_strongly_normal
+from .lattice import climb, closed_subsets
 from .quotient import lift, quotient
 from .sigma import (
     PiSelection,
@@ -29,31 +29,15 @@ from .sigma import (
     is_pi_complement_number,
     is_pi_number,
     is_prime,
-    spans_single_class,
 )
 from .valency import (
     is_thin,
     rt_chain,
+    thin_chain,
     thin_elements,
     valency,
     valency_of,
 )
-
-
-def _thin_climb(H: FiniteHypergroup, top: int, order_ok) -> tuple[int, ...] | None:
-    """Chain from {0} to top with thin step quotients whose orders pass order_ok."""
-    return climb(H, closed_subsets(H).strongly_normal_in, 1, top,
-                 lambda lo, hi: order_ok(len(double_cosets_in(H, lo, hi))))
-
-
-def _sigma_path(H: FiniteHypergroup, sigma: PrimePartition,
-                top: int) -> tuple[int, ...] | None:
-    """Sigma chain from {0} to the closed top, memoized per (sigma, top)."""
-    memo = H._cache.setdefault("sigma_paths", {})
-    if (sigma, top) not in memo:
-        memo[sigma, top] = _thin_climb(
-            H, top, lambda n: spans_single_class(n, sigma))
-    return memo[sigma, top]
 
 
 def sigma_solvable_chain(H: FiniteHypergroup,
@@ -63,8 +47,7 @@ def sigma_solvable_chain(H: FiniteHypergroup,
     Each step quotient must be thin and each step order must have all its
     prime divisors in one class; different steps may use different classes.
     """
-    path = _sigma_path(H, sigma, H.full)
-    return Chain(H, path) if path else None
+    return thin_chain(H, H.full, sigma)
 
 
 def is_sigma_solvable(H: FiniteHypergroup, sigma: PrimePartition) -> bool:
@@ -77,10 +60,7 @@ def solvable_chain(H: FiniteHypergroup) -> Chain | None:
     This is the strictest chain notion used here; with the smallest
     partition it characterises the residually thin sigma-solvable case.
     """
-    if "solvable_chain" not in H._cache:
-        path = _thin_climb(H, H.full, is_prime)
-        H._cache["solvable_chain"] = Chain(H, path) if path else None
-    return H._cache["solvable_chain"]
+    return thin_chain(H, H.full, is_prime)
 
 
 def is_solvable(H: FiniteHypergroup) -> bool:
@@ -89,12 +69,12 @@ def is_solvable(H: FiniteHypergroup) -> bool:
 
 def subnormal_closed_subsets(H: FiniteHypergroup) -> tuple[int, ...]:
     """Closed subsets joined to the full set by a stepwise-normal chain."""
-    if "subnormal" not in H._cache:
+    def compute():
         lat = closed_subsets(H)
-        H._cache["subnormal"] = tuple(
-            u for u in lat.subsets
-            if climb(H, lat.normal_in, u, H.full) is not None)
-    return H._cache["subnormal"]
+        return tuple(u for u in lat.subsets
+                     if climb(H, lat.normal_in, u, H.full) is not None)
+
+    return cached(H, "subnormal", compute)
 
 
 def _require_rt(H):
@@ -157,7 +137,8 @@ def pi_radical(H: FiniteHypergroup, sigma: PrimePartition,
         problems.append(
             "no unique maximum: subnormal Pi-subset "
             f"{list(bits(stragglers[0]))} escapes {list(bits(best))}")
-    if not is_strongly_normal(H, best, H.full):
+    lat = closed_subsets(H)
+    if (lat.position(best), lat.position(H.full)) not in lat.strongly_normal_in:
         problems.append("radical is not strongly normal in the full set")
     if not is_thin(quotient(H, best).quotient):
         problems.append("quotient over the radical is not thin")
@@ -371,6 +352,7 @@ def solvability_suite(H: FiniteHypergroup,
     sigma-solvability coincides with the prime-step chain notion.
     """
     lat = closed_subsets(H)
+    top = lat.position(H.full)
     h_solv = is_sigma_solvable(H, sigma)
     checks = []
 
@@ -379,7 +361,7 @@ def solvability_suite(H: FiniteHypergroup,
     if h_solv:
         for c in lat.subsets:
             subs_count += 1
-            if _sigma_path(H, sigma, c) is None:
+            if thin_chain(H, c, sigma) is None:
                 subs_viol.append(f"closed subset {list(bits(c))}")
     checks.append(SuiteCheck("closed_subsets_inherit_solvability",
                              subs_count, tuple(subs_viol)))
@@ -387,8 +369,8 @@ def solvability_suite(H: FiniteHypergroup,
     quo_viol = []
     quo_count = 0
     if h_solv:
-        for e in lat.subsets:
-            if not is_normal(H, e, H.full):
+        for i, e in enumerate(lat.subsets):
+            if (i, top) not in lat.normal_in:
                 continue
             quo_count += 1
             if not is_sigma_solvable(quotient(H, e).quotient, sigma):
@@ -409,7 +391,7 @@ def solvability_suite(H: FiniteHypergroup,
     asm_viol = []
     asm_count = 0
     for e in lat.subsets:
-        if _sigma_path(H, sigma, e) is not None and \
+        if thin_chain(H, e, sigma) is not None and \
                 is_sigma_solvable(quotient(H, e).quotient, sigma):
             asm_count += 1
             if not h_solv:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bitset import bits, subset_key
-from .core import Chain, FiniteHypergroup, closure, complex_product, is_closed
+from .core import Chain, FiniteHypergroup, cached, closure, complex_product, is_closed
 from .errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -66,8 +66,10 @@ def closed_subsets(H: FiniteHypergroup) -> ClosedSubsetLattice:
     instance's rank cap, where an exhaustive enumeration is no longer
     guaranteed to be affordable.
     """
-    if "lattice" in H._cache:
-        return H._cache["lattice"]
+    return cached(H, "lattice", lambda: _enumerate(H))
+
+
+def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
     if H.rank > H.rank_cap:
         raise RankCapError(
             f"rank {H.rank} exceeds the lattice cap {H.rank_cap}; "
@@ -102,12 +104,10 @@ def closed_subsets(H: FiniteHypergroup) -> ClosedSubsetLattice:
             elif _strongly_normal_unchecked(H, e, f):
                 raise InternalConsistencyError(
                     "strong normality without normality")
-    lat = ClosedSubsetLattice(subsets=subsets,
-                              normal_in=frozenset(normal),
-                              strongly_normal_in=frozenset(strong),
-                              index=index)
-    H._cache["lattice"] = lat
-    return lat
+    return ClosedSubsetLattice(subsets=subsets,
+                               normal_in=frozenset(normal),
+                               strongly_normal_in=frozenset(strong),
+                               index=index)
 
 
 def _require_closed_pair(H, E, F, op):
@@ -142,15 +142,16 @@ def climb(H: FiniteHypergroup, pairs, bottom: int, top: int,
     step to the top wins whenever allowed; subsets from which the top is
     unreachable are memoized as dead. Returns the masks, or None.
     """
-    memo = H._cache.setdefault("ascents", {})
-    if pairs not in memo:
+    def ascents():
         subsets = closed_subsets(H).subsets
-        memo[pairs] = {m: [] for m in subsets}
+        up = {m: [] for m in subsets}
         for i, j in sorted(pairs, key=lambda p: (-subsets[p[1]].bit_count(),
                                                  subset_key(subsets[p[1]])[1])):
             if i != j:
-                memo[pairs][subsets[i]].append(subsets[j])
-    up = memo[pairs]
+                up[subsets[i]].append(subsets[j])
+        return up
+
+    up = cached(H, ("ascents", pairs), ascents)
     dead: set[int] = set()
 
     def walk(f: int) -> tuple[int, ...] | None:

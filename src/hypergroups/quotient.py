@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from .bitset import bits, mask_of, members
 from .core import (
     FiniteHypergroup,
+    cached,
     complex_product,
     double_cosets_in,
     is_closed,
@@ -66,9 +67,10 @@ def quotient(H: FiniteHypergroup, F) -> QuotientMap:
     a failure indicates an implementation bug, not a property of the input.
     """
     fm = H.subset(F)
-    memo = H._cache.setdefault("quotients", {})
-    if fm in memo:
-        return memo[fm]
+    return cached(H, ("quotient", fm), lambda: _build_quotient(H, fm))
+
+
+def _build_quotient(H: FiniteHypergroup, fm: int) -> QuotientMap:
     blocks = double_cosets(H, fm)
     k = len(blocks)
     proj = [0] * H.rank
@@ -92,10 +94,8 @@ def quotient(H: FiniteHypergroup, F) -> QuotientMap:
     except InvalidHypergroupError as exc:
         raise InternalConsistencyError(
             f"induced quotient table failed validation: {exc}") from exc
-    qm = QuotientMap(base=H, modulus=fm, blocks=blocks, quotient=q,
-                     projection=tuple(proj))
-    memo[fm] = qm
-    return qm
+    return QuotientMap(base=H, modulus=fm, blocks=blocks, quotient=q,
+                       projection=tuple(proj))
 
 
 def lift(Q: QuotientMap, E_bar) -> int:

@@ -1,28 +1,45 @@
 """Thin elements, residually thin chains and valencies.
 
-A residually thin chain climbs from the identity subset to the whole set
-with every step quotient thin. A step quotient hi//lo is thin exactly when
-lo is strongly normal in hi, so chains are searched over the lattice's
-strongly_normal_in relation, and the valency of a closed subset C is read
-off a chain from the identity up to C in the same lattice.
+Every chain here comes from one search, thin_chain: closed subsets from
+the identity subset up to a closed top, each step quotient thin (lo is
+strongly normal in hi), each step order passing a rule. To the full set it
+witnesses residual thinness, to a closed C its step orders multiply to the
+valency of C, and its rules give hall's sigma-solvable and solvable chains.
 """
 
 from __future__ import annotations
 
-from .core import Chain, FiniteHypergroup, is_closed
+from .bitset import mask_of
+from .core import Chain, FiniteHypergroup, cached, double_cosets_in, is_closed
 from .errors import InternalConsistencyError, PreconditionError, ValencyUndefinedError
 from .lattice import climb, closed_subsets
+from .sigma import is_prime, spans_single_class
+
+
+def thin_chain(H: FiniteHypergroup, top: int, rule=None) -> Chain | None:
+    """Chain {0} = C0 < ... < Ck = top with thin steps, or None.
+
+    rule restricts the step orders, the numbers of double cosets of Ci in
+    Ci+1: None admits every order, a PrimePartition the orders whose prime
+    divisors lie in one of its classes, and is_prime the prime orders. None
+    is returned only after an exhaustive search. Memoized per (top, rule).
+    """
+    def order_ok(lo, hi):
+        n = len(double_cosets_in(H, lo, hi))
+        return is_prime(n) if rule is is_prime else spans_single_class(n, rule)
+
+    def compute():
+        path = climb(H, closed_subsets(H).strongly_normal_in, 1, top,
+                     None if rule is None else order_ok)
+        return Chain(H, path) if path else None
+
+    return cached(H, ("chain", top, rule), compute)
 
 
 def thin_elements(H: FiniteHypergroup) -> int:
     """Mask of elements s with s* s = {identity}."""
-    if "thin" not in H._cache:
-        out = 0
-        for s in range(H.rank):
-            if H.table[H.star[s]][s] == 1:
-                out |= 1 << s
-        H._cache["thin"] = out
-    return H._cache["thin"]
+    return cached(H, "thin", lambda: mask_of(
+        s for s in range(H.rank) if H.table[H.star[s]][s] == 1))
 
 
 def is_thin(H: FiniteHypergroup) -> bool:
@@ -43,10 +60,7 @@ def rt_chain(H: FiniteHypergroup) -> Chain | None:
     Present iff the hypergroup is residually thin; None after an exhaustive
     search of the closed-subset lattice fails.
     """
-    if "rt_chain" not in H._cache:
-        path = climb(H, closed_subsets(H).strongly_normal_in, 1, H.full)
-        H._cache["rt_chain"] = Chain(H, path) if path else None
-    return H._cache["rt_chain"]
+    return thin_chain(H, H.full)
 
 
 def is_residually_thin(H: FiniteHypergroup) -> bool:
@@ -79,20 +93,14 @@ def valency_of(H: FiniteHypergroup, C) -> int:
     cm = H.subset(C)
     if not is_closed(H, cm):
         raise PreconditionError("valency_of requires a closed subset")
-    if rt_chain(H) is None:
-        raise ValencyUndefinedError(
-            f"{H.name} is not residually thin, valency undefined")
-    memo = H._cache.setdefault("valencies", {})
-    if cm not in memo:
-        path = climb(H, closed_subsets(H).strongly_normal_in, 1, cm)
-        if path is None:
-            raise InternalConsistencyError(
-                "closed subset of a residually thin hypergroup must be residually thin")
-        v = Chain(H, path).order_product
-        if valency(H) % v:
-            raise InternalConsistencyError("subset valency does not divide the ambient one")
-        memo[cm] = v
-    return memo[cm]
+    ambient = valency(H)
+    chain = thin_chain(H, cm)
+    if chain is None:
+        raise InternalConsistencyError(
+            "closed subset of a residually thin hypergroup must be residually thin")
+    if ambient % chain.order_product:
+        raise InternalConsistencyError("subset valency does not divide the ambient one")
+    return chain.order_product
 
 
 def all_rt_chains(H: FiniteHypergroup, limit: int) -> list[Chain]:

@@ -69,6 +69,19 @@ def naive_associativity_witness(t, n):
     return None
 
 
+def naive_scheme_supports(mat) -> tuple[tuple[int, ...], ...]:
+    """Support table of a relation matrix over every triple of points:
+    relation k lies in p q iff some x, y, z has x y in p, y z in q and
+    x z in k."""
+    r = max(max(row) for row in mat) + 1
+    table = [[0] * r for _ in range(r)]
+    for row_x in mat:
+        for y, p in enumerate(row_x):
+            for z, k in enumerate(row_x):
+                table[p][mat[y][z]] |= 1 << k
+    return tuple(map(tuple, table))
+
+
 def sets_of(H):
     """Package hypergroup -> (table of python sets, star list)."""
     from hypergroups import members

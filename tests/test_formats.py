@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,8 +18,9 @@ from hypergroups import (
     valency,
 )
 from hypergroups import fixtures as fx
+from hypergroups.cli import main
 
-from oracles import naive_associativity_witness
+from oracles import naive_associativity_witness, naive_scheme_supports
 
 K2_DOC = """hypergroup k2
 rank 2
@@ -238,6 +240,44 @@ def test_scheme_errors():
         scheme_to_hypergroup("scheme bad\npoints 2\n0 0\n1 0\n")
 
 
+def _random_partition(m, rng):
+    """Relation matrix on m points: diagonal 0, off-diagonal pairs in 1..k,
+    drawn freely, symmetric, or as a fusion of the differences mod m."""
+    k = rng.randint(1, 3)
+    kind = rng.randrange(3)
+    if kind == 2:
+        fuse = [0] + [rng.randint(1, k) for _ in range(m - 1)]
+        return [[fuse[(j - i) % m] for j in range(m)] for i in range(m)]
+    mat = [[0 if i == j else rng.randint(1, k) for j in range(m)] for i in range(m)]
+    if kind == 1:
+        for i in range(m):
+            for j in range(i):
+                mat[i][j] = mat[j][i]
+    return mat
+
+
+def test_scheme_reader_accepts_only_schemes():
+    # Every relation partition either loads, with the supports of all
+    # triples of points, or is refused with a line: a partition that passes
+    # the reader's checks is an association scheme, whose support table
+    # always satisfies the axioms.
+    rng = random.Random(11)
+    outcomes = Counter()
+    for k in range(2000):
+        m = rng.randint(2, 5)
+        mat = _random_partition(m, rng)
+        text = f"scheme r{k}\npoints {m}\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in mat)
+        try:
+            h = scheme_to_hypergroup(text)
+            assert h.table == naive_scheme_supports(mat)
+            outcomes["loaded"] += 1
+        except ParseError as exc:
+            assert 3 <= exc.line < 3 + m
+            outcomes[str(exc).split(" ", 1)[0]] += 1
+    assert outcomes["loaded"] > 500 and outcomes["intersection"] > 100, outcomes
+
+
 def test_detect_format():
     assert detect_format(K2_DOC) == "hypergroup"
     assert detect_format("group z2\norder 2\ne a\na e\n") == "cayley"
@@ -276,3 +316,104 @@ def test_shipped_fixture_files_match_programmatic(fixtures_dir):
     for name, (h, label) in cayleys.items():
         want = fx.cayley_text(fx.int_table(h), label)
         assert (fixtures_dir / name).read_text() == want
+
+
+# (command, document, the exact error): one malformed document per error
+# branch of the readers, each read through the CLI.
+MALFORMED = [
+    ("validate", "# only a comment\n", "empty document (line 1)"),
+    ("convert --from cayley", "", "empty document (line 1)"),
+    ("convert --from cayley", "hypergroup x\nrank 1\n",
+     "expected 'group <name>' header, got 'hypergroup' (line 1)"),
+    ("validate", "hypergroup x\nrank two\n", "expected rank, got 'two' (line 2)"),
+    ("validate", "hypergroup x\nrank 2 3\n", "rank line needs one integer (line 2)"),
+    ("validate", "hypergroup x\nrank 0\n", "rank must be positive (line 2)"),
+    ("validate", "hypergroup x\nrank 1\nidentity\n",
+     "identity line needs one index (line 3)"),
+    ("validate", "hypergroup x\nstar 0\n", "star line before rank (line 2)"),
+    ("validate", "hypergroup x\nrank 2\nstar 0\n", "star line needs 2 indices (line 3)"),
+    ("validate", "hypergroup x\nrank 2\nstar 0 2\n", "star index out of range (line 3)"),
+    ("validate", "hypergroup x\n0 0 : 0\n", "table entry before rank (line 2)"),
+    ("validate", "hypergroup x\nrank 1\nstar 0\n0 0 0\n",
+     "table entry needs 'p q : members' (line 4)"),
+    ("validate", "hypergroup x\nrank 1\nstar 0\n0 : 0\n",
+     "table entry needs exactly two indices before ':' (line 4)"),
+    ("validate", "hypergroup x\nrank 1\nstar 0\n² 0 : 0\n",
+     "expected row index, got '²' (line 4)"),
+    ("validate", "hypergroup x\nrank 1\nstar 0\n0 x : 0\n",
+     "expected column index, got 'x' (line 4)"),
+    ("validate", "hypergroup x\nrank 1\nstar 0\n0 1 : 0\n",
+     "entry indices (0,1) out of range (line 4)"),
+    ("validate", "hypergroup x\nrank 1\nstar 0\n0 0 : a\n",
+     "expected member index, got 'a' (line 4)"),
+    ("validate", "hypergroup x\nrank 1\nstar 0\n0 0 :\n",
+     "empty product set at (0,0) (line 4)"),
+    ("validate", "hypergroup x\nrank 1\nstar 0\n0 0 : 1\n",
+     "product member out of range at (0,0) (line 4)"),
+    ("validate", "hypergroup x\nrank 1\nstar 0\n0 0 : 0\n0 0 : 0\n",
+     "duplicate table entry (0,0) (line 5)"),
+    ("validate", "hypergroup x\nrank 1\nfoo 1\n", "unrecognized line 'foo' (line 3)"),
+    ("validate", "hypergroup x\n", "missing rank line (line 1)"),
+    ("validate", "hypergroup x\nrank 1\n0 0 : 0\n", "missing star line (line 3)"),
+    ("validate", "hypergroup x\nrank 1\nidentity 1\nstar 0\n0 0 : 0\n",
+     "identity index out of range (line 3)"),
+    ("validate", "hypergroup x\nrank 1\nstar 0\n", "missing table entry (0, 0) (line 3)"),
+    # A repeated header line is an error at its own line, whichever comes
+    # first: the last one used to win, dropping a table read under another.
+    ("analyze", "hypergroup x\nrank 2\n0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0\n"
+     "rank 1\nstar 0\n", "duplicate rank line (line 7)"),
+    ("analyze", "hypergroup x\nrank 1\nstar 0\nrank 2\n0 0 : 0\n0 1 : 1\n"
+     "1 0 : 1\n1 1 : 0\n", "duplicate rank line (line 4)"),
+    ("analyze", "hypergroup x\nrank 1\nstar 0\nstar 0\n0 0 : 0\n",
+     "duplicate star line (line 4)"),
+    ("analyze", "hypergroup x\nrank 1\nidentity 0\nidentity 0\nstar 0\n0 0 : 0\n",
+     "duplicate identity line (line 4)"),
+    ("validate", "group g\n", "expected 'order <n>' line (line 2)"),
+    ("validate", "group g\norder\n", "order line needs one integer (line 2)"),
+    ("validate", "group g\norder x\n", "expected order, got 'x' (line 2)"),
+    ("validate", "group g\norder 0\n", "order must be positive (line 2)"),
+    ("validate", "group g\norder 2\n", "expected 2 table rows, got 0 (line 2)"),
+    ("validate", "group g\norder 2\ne a\n", "expected 2 table rows, got 1 (line 3)"),
+    ("validate", "group g\norder 2\ne a\na\n", "expected 2 symbols in row, got 1 (line 4)"),
+    ("validate", "group g\norder 2\ne e\ne e\n",
+     "first row must list n distinct symbols (line 3)"),
+    ("validate", "group g\norder 2\ne a\na b\n", "unknown symbol 'b' (line 4)"),
+    ("validate", "group g\norder 3\ne a b\nb e a\na b e\n",
+     "first symbol is not an identity: row/column mismatch at position 1 (line 3)"),
+    ("validate", "group g\norder 3\ne a b\na a e\nb e a\n",
+     "not a Latin square: repeated symbol in row 1 (line 4)"),
+    ("validate", "group g\norder 3\ne a b\na b e\nb a e\n",
+     "not a Latin square: repeated symbol in column 1 (line 3)"),
+    ("validate", LOOP5, "not associative at (1,1,2) (line 4)"),
+    ("validate", "scheme s\n", "expected 'points <m>' line (line 2)"),
+    ("validate", "scheme s\npoints\n", "points line needs one integer (line 2)"),
+    ("validate", "scheme s\npoints x\n", "expected point count, got 'x' (line 2)"),
+    ("validate", "scheme s\npoints 0\n", "points must be positive (line 2)"),
+    ("validate", "scheme s\npoints 2\n0 1\n", "expected 2 matrix rows, got 1 (line 3)"),
+    ("validate", "scheme s\npoints 2\n0 a\n1 0\n",
+     "expected relation index, got 'a' (line 3)"),
+    ("validate", "scheme s\npoints 2\n0 1\n1\n", "expected 2 entries in row, got 1 (line 4)"),
+    ("validate", "scheme s\npoints 2\n1 1\n1 0\n",
+     "diagonal entry (0,0) must be relation 0 (line 3)"),
+    ("validate", "scheme s\npoints 2\n0 2\n2 0\n",
+     "relation indices must be exactly 0..2, got [0, 2] (line 3)"),
+    ("validate", "scheme s\npoints 2\n0 0\n1 0\n",
+     "relation 0 must be exactly the diagonal, seen at (0,1) (line 3)"),
+    ("validate", "scheme s\npoints 3\n0 1 1\n2 0 1\n1 1 0\n",
+     "transpose pairing ill-defined for relation 1 (line 3)"),
+    # Not a scheme: the pairs (0,0) and (1,1) of relation 0 see different
+    # intersection numbers, and relation 1 times relation 1 is empty.
+    ("validate", "scheme x\npoints 2\n0 2\n1 0\n",
+     "intersection numbers of relation 0 differ between (0,0) and (1,1) (line 4)"),
+]
+
+
+@pytest.mark.parametrize("command,text,message", MALFORMED,
+                         ids=[m for _, _, m in MALFORMED])
+def test_malformed_document_is_an_input_error(capsys, tmp_path, command, text,
+                                              message):
+    f = tmp_path / "doc.txt"
+    f.write_text(text, encoding="utf-8")
+    code = main(command.split() + [str(f)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")

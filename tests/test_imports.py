@@ -79,3 +79,11 @@ def test_every_definition_is_used():
             if node.name not in elsewhere and not own[node.name]:
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, f"definitions used nowhere: {', '.join(dead)}"
+
+
+def test_only_core_names_the_store():
+    # Every derived fact of a hypergroup is kept through core.cached, the
+    # one function that reads and writes the instance's store.
+    named = [path.name for path in MODULES if path.name != "core.py"
+             and _mentions(ast.parse(path.read_text(encoding="utf-8")))["_cache"]]
+    assert not named, f"modules other than core.py name _cache: {', '.join(named)}"
