@@ -71,6 +71,18 @@ def _sets(masks) -> list[list[int]]:
     return [list(members(m)) for m in masks]
 
 
+def _set_or_none(mask) -> list[int] | None:
+    return None if mask is None else list(members(mask))
+
+
+def _flags(report) -> dict[str, bool]:
+    return {
+        "is_residually_thin": report.is_rt,
+        "is_sigma_solvable": report.is_sigma_solvable,
+        "is_pi_valenced": report.is_pi_valenced,
+    }
+
+
 def _sigma_pi(args):
     sigma = parse_partition(args.sigma)
     pi = parse_selection(args.pi, sigma)
@@ -150,37 +162,26 @@ def cmd_hall(args) -> int:
     h = _load(args)
     sigma, pi = _sigma_pi(args)
     report = verify_hall(h, sigma, pi)
-    flags = {
-        "is_residually_thin": report.is_rt,
-        "is_sigma_solvable": report.is_sigma_solvable,
-        "is_pi_valenced": report.is_pi_valenced,
-    }
+    flags = _flags(report)
+    machine = {"command": "hall", "flags": flags,
+               "radical": _set_or_none(report.radical)}
+    human = [f"{k}: {'yes' if v else 'no'}" for k, v in flags.items()]
+    human.append("radical: " + _set_str(report.radical))
     if args.constructive:
         found = report.constructive
-        machine = {
-            "command": "hall", "mode": "constructive", "flags": flags,
-            "radical": None if report.radical is None else list(members(report.radical)),
-            "hall_subset": None if found is None else list(members(found)),
-            "note": report.constructive_note,
-        }
-        human = [f"{k}: {'yes' if v else 'no'}" for k, v in flags.items()]
-        human.append("radical: " + _set_str(report.radical))
+        machine.update(mode="constructive", hall_subset=_set_or_none(found),
+                       note=report.constructive_note)
         human.append("hall subset: " + _set_str(found))
         if report.constructive_note:
             human.append(f"note: {report.constructive_note}")
-        _emit(args, machine, human)
-        return 0 if found is not None else 1
-    machine = {
-        "command": "hall", "mode": "enumerate", "flags": flags,
-        "radical": None if report.radical is None else list(members(report.radical)),
-        "hall_subsets": _sets(report.hall_subsets),
-    }
-    human = [f"{k}: {'yes' if v else 'no'}" for k, v in flags.items()]
-    human.append("radical: " + _set_str(report.radical))
-    human.append(f"hall subsets: {len(report.hall_subsets)}")
-    human += ["  " + _set_str(m) for m in report.hall_subsets]
+        ok = found is not None
+    else:
+        machine.update(mode="enumerate", hall_subsets=_sets(report.hall_subsets))
+        human.append(f"hall subsets: {len(report.hall_subsets)}")
+        human += ["  " + _set_str(m) for m in report.hall_subsets]
+        ok = bool(report.hall_subsets)
     _emit(args, machine, human)
-    return 0 if report.hall_subsets else 1
+    return 0 if ok else 1
 
 
 def _set_str(mask) -> str:
@@ -210,15 +211,10 @@ def cmd_verify(args) -> int:
     ok = report.hypotheses_hold and report.conclusions_hold and suite.passed
     machine = {
         "command": "verify",
-        "flags": {
-            "is_residually_thin": report.is_rt,
-            "is_sigma_solvable": report.is_sigma_solvable,
-            "is_pi_valenced": report.is_pi_valenced,
-        },
-        "radical": None if report.radical is None else list(members(report.radical)),
+        "flags": _flags(report),
+        "radical": _set_or_none(report.radical),
         "hall_subsets": _sets(report.hall_subsets),
-        "constructive": None if report.constructive is None
-        else list(members(report.constructive)),
+        "constructive": _set_or_none(report.constructive),
         "conclusions": {
             "exists": report.conclusion_exists,
             "conjugate": report.conclusion_conjugate,
@@ -228,8 +224,7 @@ def cmd_verify(args) -> int:
             {"pair": [list(members(s)), list(members(t))], "witness": w}
             for s, t, w in report.conjugacy_witnesses],
         "containment": [
-            {"subset": list(members(c)),
-             "hall": None if hm is None else list(members(hm))}
+            {"subset": list(members(c)), "hall": _set_or_none(hm)}
             for c, hm in report.containment_witnesses],
         "suite": [{"check": c.name, "applicable": c.applicable,
                    "passed": c.passed, "violations": list(c.violations)}

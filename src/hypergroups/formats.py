@@ -93,6 +93,36 @@ def _int(tok: str, lineno: int, what: str) -> int:
         raise ParseError(f"expected {what}, got {tok!r}", lineno) from None
 
 
+def _square(lines, count_line: str, count_what: str, row_what: str,
+            cell_what: str, convert):
+    """The rows, as (lineno, line), and the grid of n rows of n tokens after
+    the 'order <n>' or 'points <m>' line, each token through convert(tok,
+    lineno) before its row's length is checked; the nouns name the count,
+    rows and cells in messages."""
+    keyword = count_line.split()[0]
+    if len(lines) < 2 or lines[1][1].split()[0] != keyword:
+        raise ParseError(f"expected '{count_line}' line", lines[0][0] + 1)
+    lineno, line = lines[1]
+    toks = line.split()
+    if len(toks) != 2:
+        raise ParseError(f"{keyword} line needs one integer", lineno)
+    n = _int(toks[1], lineno, count_what)
+    if n < 1:
+        raise ParseError(f"{keyword} must be positive", lineno)
+    rows = lines[2:]
+    if len(rows) != n:
+        raise ParseError(f"expected {n} {row_what} rows, got {len(rows)}",
+                         rows[-1][0] if rows else lineno)
+    grid = []
+    for lineno, line in rows:
+        cells = [convert(tok, lineno) for tok in line.split()]
+        if len(cells) != n:
+            raise ParseError(f"expected {n} {cell_what} in row, got {len(cells)}",
+                             lineno)
+        grid.append(cells)
+    return rows, grid
+
+
 def parse_document(text: str) -> HypergroupDocument:
     lines = list(_meaningful_lines(text))
     name = _header(lines, "hypergroup", "H")
@@ -197,38 +227,19 @@ def cayley_to_hypergroup(text: str) -> FiniteHypergroup:
     """
     lines = list(_meaningful_lines(text))
     name = _header(lines, "group", "G")
-    if len(lines) < 2 or lines[1][1].split()[0] != "order":
-        raise ParseError("expected 'order <n>' line", lines[0][0] + 1)
-    lineno, order_line = lines[1]
-    toks = order_line.split()
-    if len(toks) != 2:
-        raise ParseError("order line needs one integer", lineno)
-    n = _int(toks[1], lineno, "order")
-    if n < 1:
-        raise ParseError("order must be positive", lineno)
-    rows = lines[2:]
-    if len(rows) != n:
-        raise ParseError(f"expected {n} table rows, got {len(rows)}",
-                         rows[-1][0] if rows else lineno)
-    grid = []
-    for lineno, line in rows:
-        syms = line.split()
-        if len(syms) != n:
-            raise ParseError(f"expected {n} symbols in row, got {len(syms)}", lineno)
-        grid.append(syms)
+    rows, grid = _square(lines, "order <n>", "order", "table", "symbols",
+                         lambda tok, lineno: tok)
+    n = len(grid)
     symbols = grid[0]
     if len(set(symbols)) != n:
         raise ParseError("first row must list n distinct symbols", rows[0][0])
     pos = {s: i for i, s in enumerate(symbols)}
     table = []
-    for r, (lineno, _) in enumerate(rows):
-        row = []
-        for c in range(n):
-            sym = grid[r][c]
+    for (lineno, _), syms in zip(rows, grid):
+        for sym in syms:
             if sym not in pos:
                 raise ParseError(f"unknown symbol {sym!r}", lineno)
-            row.append(pos[sym])
-        table.append(row)
+        table.append([pos[sym] for sym in syms])
     for i in range(n):
         if table[0][i] != i or table[i][0] != i:
             raise ParseError(
@@ -262,25 +273,9 @@ def scheme_to_hypergroup(text: str) -> FiniteHypergroup:
     """
     lines = list(_meaningful_lines(text))
     name = _header(lines, "scheme", "S")
-    if len(lines) < 2 or lines[1][1].split()[0] != "points":
-        raise ParseError("expected 'points <m>' line", lines[0][0] + 1)
-    lineno, pts_line = lines[1]
-    toks = pts_line.split()
-    if len(toks) != 2:
-        raise ParseError("points line needs one integer", lineno)
-    m = _int(toks[1], lineno, "point count")
-    if m < 1:
-        raise ParseError("points must be positive", lineno)
-    rows = lines[2:]
-    if len(rows) != m:
-        raise ParseError(f"expected {m} matrix rows, got {len(rows)}",
-                         rows[-1][0] if rows else lineno)
-    mat = []
-    for lineno, line in rows:
-        vals = [_int(t, lineno, "relation index") for t in line.split()]
-        if len(vals) != m:
-            raise ParseError(f"expected {m} entries in row, got {len(vals)}", lineno)
-        mat.append(vals)
+    rows, mat = _square(lines, "points <m>", "point count", "matrix", "entries",
+                        lambda tok, lineno: _int(tok, lineno, "relation index"))
+    m = len(mat)
     for i in range(m):
         if mat[i][i] != 0:
             raise ParseError(f"diagonal entry ({i},{i}) must be relation 0",

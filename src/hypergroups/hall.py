@@ -6,6 +6,11 @@ subsets climbs from the identity to the full set with every step quotient
 thin and every step order inside a single class. A closed subset is a
 Pi-subset when its valency is a Pi-number, and a Hall Pi-subset when
 additionally the ambient valency divided by its own is a complement number.
+
+The Pi-valenced witness and the Pi-radical are stored facts of the
+hypergroup, one per (sigma, Pi), so a Hall report decides each once. Input
+that is not residually thin is refused in one place: valency(H) raises
+ValencyUndefinedError, which every Pi-subset scan here reaches first.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .errors import (
     HypothesisViolationError,
     InternalConsistencyError,
     SearchExhaustedError,
-    ValencyUndefinedError,
 )
 from .lattice import climb, closed_subsets
 from .quotient import lift, quotient
@@ -77,12 +81,6 @@ def subnormal_closed_subsets(H: FiniteHypergroup) -> tuple[int, ...]:
     return cached(H, "subnormal", compute)
 
 
-def _require_rt(H):
-    if rt_chain(H) is None:
-        raise ValencyUndefinedError(
-            f"{H.name} is not residually thin, valencies are undefined")
-
-
 def pi_valenced_violation(H: FiniteHypergroup, sigma: PrimePartition,
                           pi: PiSelection) -> tuple[int, int] | None:
     """First witness (U, h) breaking the Pi-valenced condition, else None.
@@ -91,25 +89,28 @@ def pi_valenced_violation(H: FiniteHypergroup, sigma: PrimePartition,
     quotient over U, the product of the starred block with the block must
     have Pi-number size whenever it consists of thin elements. When such a
     product set is itself closed, its valency is cross-checked against its
-    size and a mismatch is surfaced as an internal error.
+    size and a mismatch is surfaced as an internal error. Stored per
+    (sigma, Pi).
     """
-    _require_rt(H)
-    for u in subnormal_closed_subsets(H):
-        if not is_pi_number(valency_of(H, u), sigma, pi):
-            continue
-        qm = quotient(H, u)
-        q = qm.quotient
-        thin = thin_elements(q)
-        for b in range(q.rank):
-            s = q.table[q.star[b]][b]
-            if s & ~thin:
+    def compute():
+        for u in subnormal_closed_subsets(H):
+            if not is_pi_number(valency_of(H, u), sigma, pi):
                 continue
-            if not is_pi_number(s.bit_count(), sigma, pi):
-                return (u, next(bits(qm.blocks[b])))
-            if is_closed(q, s) and valency_of(q, s) != s.bit_count():
-                raise InternalConsistencyError(
-                    "thin closed product set with valency differing from size")
-    return None
+            qm = quotient(H, u)
+            q = qm.quotient
+            thin = thin_elements(q)
+            for b in range(q.rank):
+                s = q.table[q.star[b]][b]
+                if s & ~thin:
+                    continue
+                if not is_pi_number(s.bit_count(), sigma, pi):
+                    return (u, next(bits(qm.blocks[b])))
+                if is_closed(q, s) and valency_of(q, s) != s.bit_count():
+                    raise InternalConsistencyError(
+                        "thin closed product set with valency differing from size")
+        return None
+
+    return cached(H, ("pi_valenced", sigma, pi), compute)
 
 
 def is_pi_valenced(H: FiniteHypergroup, sigma: PrimePartition,
@@ -125,33 +126,34 @@ def pi_radical(H: FiniteHypergroup, sigma: PrimePartition,
     violation when broken (which can only happen outside the residually
     thin Pi-valenced regime): it contains every subnormal closed Pi-subset,
     it is strongly normal in the full set, and the quotient over it is
-    thin.
+    thin. Stored per (sigma, Pi) once the guarantees hold.
     """
-    _require_rt(H)
-    candidates = [u for u in subnormal_closed_subsets(H)
-                  if is_pi_number(valency_of(H, u), sigma, pi)]
-    best = max(candidates, key=lambda m: m.bit_count())
-    problems = []
-    stragglers = [u for u in candidates if u & ~best]
-    if stragglers:
-        problems.append(
-            "no unique maximum: subnormal Pi-subset "
-            f"{list(bits(stragglers[0]))} escapes {list(bits(best))}")
-    lat = closed_subsets(H)
-    if (lat.position(best), lat.position(H.full)) not in lat.strongly_normal_in:
-        problems.append("radical is not strongly normal in the full set")
-    if not is_thin(quotient(H, best).quotient):
-        problems.append("quotient over the radical is not thin")
-    if problems:
-        raise HypothesisViolationError(
-            "Pi-radical guarantees failed", tuple(problems))
-    return best
+    def compute():
+        candidates = [u for u in subnormal_closed_subsets(H)
+                      if is_pi_number(valency_of(H, u), sigma, pi)]
+        best = max(candidates, key=lambda m: m.bit_count())
+        problems = []
+        stragglers = [u for u in candidates if u & ~best]
+        if stragglers:
+            problems.append(
+                "no unique maximum: subnormal Pi-subset "
+                f"{list(bits(stragglers[0]))} escapes {list(bits(best))}")
+        lat = closed_subsets(H)
+        if (lat.position(best), lat.position(H.full)) not in lat.strongly_normal_in:
+            problems.append("radical is not strongly normal in the full set")
+        if not is_thin(quotient(H, best).quotient):
+            problems.append("quotient over the radical is not thin")
+        if problems:
+            raise HypothesisViolationError(
+                "Pi-radical guarantees failed", tuple(problems))
+        return best
+
+    return cached(H, ("pi_radical", sigma, pi), compute)
 
 
 def hall_subsets_enumerated(H: FiniteHypergroup, sigma: PrimePartition,
                             pi: PiSelection) -> tuple[int, ...]:
     """All closed C with Pi-number valency and complement-number covalency."""
-    _require_rt(H)
     n_h = valency(H)
     out = []
     for c in closed_subsets(H).subsets:
@@ -171,27 +173,24 @@ def hall_subset_constructive(H: FiniteHypergroup, sigma: PrimePartition,
     Route: quotient over the Pi-radical is a thin, sigma-solvable
     hypergroup, hence a group; scan its subgroups exhaustively for a Hall
     Pi-subgroup, then pull the subgroup back through the block bijection.
-    Refuses with diagnostics when the hypothesis flags fail, and treats a
-    missing Hall subgroup in the quotient group or a bad lifted result as a
-    loud error, since neither can occur in the guaranteed regime.
+    Refuses with diagnostics when the stored hypothesis facts fail, and
+    treats a missing Hall subgroup in the quotient group or a bad lifted
+    result as a loud error, since neither can occur in the guaranteed
+    regime. pi_radical has already checked that the quotient is thin.
     """
-    problems = []
     if rt_chain(H) is None:
-        problems.append("not residually thin")
         raise HypothesisViolationError("constructive Hall search refused",
-                                       tuple(problems))
+                                       ("not residually thin",))
+    problems = []
     if not is_sigma_solvable(H, sigma):
         problems.append("not sigma-solvable")
-    if pi_valenced_violation(H, sigma, pi) is not None:
+    if not is_pi_valenced(H, sigma, pi):
         problems.append("not Pi-valenced")
     if problems:
         raise HypothesisViolationError("constructive Hall search refused",
                                        tuple(problems))
-    radical = pi_radical(H, sigma, pi)
-    qm = quotient(H, radical)
+    qm = quotient(H, pi_radical(H, sigma, pi))
     q = qm.quotient
-    if not is_thin(q):
-        raise InternalConsistencyError("quotient over the radical must be thin")
     n_q = q.rank
     for c in closed_subsets(q).subsets:
         size = c.bit_count()
@@ -271,7 +270,7 @@ def verify_hall(H: FiniteHypergroup, sigma: PrimePartition,
     """
     rt = rt_chain(H) is not None
     solv = is_sigma_solvable(H, sigma)
-    valenced = bool(rt) and pi_valenced_violation(H, sigma, pi) is None
+    valenced = rt and is_pi_valenced(H, sigma, pi)
 
     radical = None
     radical_note = None
@@ -354,59 +353,35 @@ def solvability_suite(H: FiniteHypergroup,
     lat = closed_subsets(H)
     top = lat.position(H.full)
     h_solv = is_sigma_solvable(H, sigma)
-    checks = []
+    solv_lat = lat.subsets if h_solv else ()
 
-    subs_viol = []
-    subs_count = 0
-    if h_solv:
-        for c in lat.subsets:
-            subs_count += 1
-            if thin_chain(H, c, sigma) is None:
-                subs_viol.append(f"closed subset {list(bits(c))}")
-    checks.append(SuiteCheck("closed_subsets_inherit_solvability",
-                             subs_count, tuple(subs_viol)))
+    def check(name, cases):
+        # Every (label, ok) case is an applicable instance; a case that is
+        # not ok is a violation under its label.
+        cases = list(cases)
+        return SuiteCheck(name, len(cases),
+                          tuple(label for label, ok in cases if not ok))
 
-    quo_viol = []
-    quo_count = 0
-    if h_solv:
-        for i, e in enumerate(lat.subsets):
-            if (i, top) not in lat.normal_in:
-                continue
-            quo_count += 1
-            if not is_sigma_solvable(quotient(H, e).quotient, sigma):
-                quo_viol.append(f"quotient over normal {list(bits(e))}")
-    checks.append(SuiteCheck("quotients_by_normal_inherit_solvability",
-                             quo_count, tuple(quo_viol)))
-
-    subq_viol = []
-    subq_count = 0
-    if h_solv:
-        for d in subnormal_closed_subsets(H):
-            subq_count += 1
-            if not is_sigma_solvable(quotient(H, d).quotient, sigma):
-                subq_viol.append(f"quotient over subnormal {list(bits(d))}")
-    checks.append(SuiteCheck("quotients_by_subnormal_inherit_solvability",
-                             subq_count, tuple(subq_viol)))
-
-    asm_viol = []
-    asm_count = 0
-    for e in lat.subsets:
-        if thin_chain(H, e, sigma) is not None and \
-                is_sigma_solvable(quotient(H, e).quotient, sigma):
-            asm_count += 1
-            if not h_solv:
-                asm_viol.append(f"assembled through {list(bits(e))}")
-    checks.append(SuiteCheck("solvable_part_and_quotient_force_solvability",
-                             asm_count, tuple(asm_viol)))
-
-    prime_viol = []
-    prime_count = 0
-    if rt_chain(H) is not None:
-        prime_count = 1
-        if is_sigma_solvable(H, SMALLEST) != is_solvable(H):
-            prime_viol.append(
-                "smallest-partition solvability disagrees with prime-step chains")
-    checks.append(SuiteCheck("smallest_partition_matches_prime_step_chains",
-                             prime_count, tuple(prime_viol)))
-
-    return SolvabilitySuiteReport(tuple(checks))
+    return SolvabilitySuiteReport((
+        check("closed_subsets_inherit_solvability",
+              ((f"closed subset {list(bits(c))}",
+                thin_chain(H, c, sigma) is not None) for c in solv_lat)),
+        check("quotients_by_normal_inherit_solvability",
+              ((f"quotient over normal {list(bits(e))}",
+                is_sigma_solvable(quotient(H, e).quotient, sigma))
+               for i, e in enumerate(solv_lat) if (i, top) in lat.normal_in)),
+        check("quotients_by_subnormal_inherit_solvability",
+              ((f"quotient over subnormal {list(bits(d))}",
+                is_sigma_solvable(quotient(H, d).quotient, sigma))
+               for d in (subnormal_closed_subsets(H) if h_solv else ()))),
+        # No quotient is built unless the closed subset itself is solvable.
+        check("solvable_part_and_quotient_force_solvability",
+              ((f"assembled through {list(bits(e))}", h_solv)
+               for e in lat.subsets
+               if thin_chain(H, e, sigma) is not None
+               and is_sigma_solvable(quotient(H, e).quotient, sigma))),
+        check("smallest_partition_matches_prime_step_chains",
+              [("smallest-partition solvability disagrees with prime-step chains",
+                is_sigma_solvable(H, SMALLEST) == is_solvable(H))]
+              if rt_chain(H) is not None else ()),
+    ))

@@ -33,8 +33,42 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# is_prime is exact below this bound (Sorenson and Webster, 2015); prime
+# literals of a partition or selection are refused at or above it.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == (n,)
+    """Miller-Rabin with the first 13 primes as bases, deterministic."""
+    if n < 2:
+        return False
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _require_prime(p: int) -> None:
+    if p >= PRIME_TEST_BOUND:
+        raise PartitionSyntaxError(
+            f"{p} is too large: primality is decided below {PRIME_TEST_BOUND}")
+    if not is_prime(p):
+        raise PartitionSyntaxError(f"{p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -50,8 +84,7 @@ class PrimePartition:
             if not cls:
                 raise PartitionSyntaxError("empty prime class")
             for p in cls:
-                if not is_prime(p):
-                    raise PartitionSyntaxError(f"{p} is not prime")
+                _require_prime(p)
                 if p in seen:
                     raise PartitionSyntaxError(f"prime {p} appears in two classes")
                 seen.add(p)
@@ -159,8 +192,7 @@ def parse_selection(text: str, sigma: PrimePartition) -> PiSelection:
             if not primes:
                 raise PartitionSyntaxError("empty class literal")
             for p in primes:
-                if not is_prime(p):
-                    raise PartitionSyntaxError(f"{p} is not prime")
+                _require_prime(p)
             cls = sigma.class_of(min(primes))
             if cls != primes:
                 raise PartitionSyntaxError(

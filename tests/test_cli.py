@@ -172,6 +172,25 @@ def test_hall_bad_pi_syntax(capsys, fixtures_dir):
     assert "not prime" in err or "class" in err
 
 
+def test_hall_large_prime_class(capsys, fixtures_dir):
+    s3 = str(fixtures_dir / "s3.cayley")
+    code, out, _ = run(capsys, "hall", s3, "--sigma", "99999999999999999989",
+                       "--pi", "0", "--machine")
+    assert code == 0
+    assert (code, out) == run(capsys, "hall", s3, "--sigma", "7", "--pi", "0",
+                              "--machine")[:2]
+
+
+@pytest.mark.parametrize("sigma_pi", [
+    ("--sigma", "3317044064679887385961981", "--pi", "0"),
+    ("--pi", "{3317044064679887385961981}"),
+])
+def test_hall_prime_literal_above_the_exact_range(capsys, fixtures_dir, sigma_pi):
+    code, _, err = run(capsys, "hall", str(fixtures_dir / "s3.cayley"), *sigma_pi)
+    assert code == 2
+    assert "too large" in err
+
+
 def test_radical_command(capsys, fixtures_dir):
     code, out, _ = run(capsys, "radical", str(fixtures_dir / "s3.cayley"),
                        "--pi", "{3}")
@@ -183,7 +202,7 @@ def test_radical_unavailable_on_k2(capsys, fixtures_dir):
     code, _, err = run(capsys, "radical", str(fixtures_dir / "k2.hg"),
                        "--pi", "{2}")
     assert code == 1
-    assert "radical unavailable" in err
+    assert err == "radical unavailable: k2 is not residually thin, valency undefined\n"
 
 
 def test_verify_s3_passes(capsys, fixtures_dir):

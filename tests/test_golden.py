@@ -30,17 +30,12 @@ COMMANDS = {
     "radical-pi2": ["radical", "--pi", "{2}"],
     "hall-constructive-pi2": ["hall", "--constructive", "--pi", "{2}"],
 }
-# On a5 only validate and analyze: its Hall answers are left to the a5-hall
-# benchmark workload and test_hall_a5_exit_one.
-SKIPPED = {("a5.cayley", key) for key in COMMANDS
-           if key not in ("validate", "analyze")}
 
 
 def _cases():
     for path in sorted(FIXTURES.iterdir()):
         for key in COMMANDS:
-            if (path.name, key) not in SKIPPED:
-                yield path.name, key
+            yield path.name, key
 
 
 def _argv(fixture, key):

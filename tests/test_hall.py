@@ -1,6 +1,7 @@
 import pytest
 
 from hypergroups import (
+    FiniteHypergroup,
     HypothesisViolationError,
     SMALLEST,
     ValencyUndefinedError,
@@ -35,6 +36,7 @@ from hypergroups import (
     verify_hall,
 )
 from hypergroups import fixtures as fx
+from hypergroups import hall
 
 
 def _sel(text, sigma=SMALLEST):
@@ -133,8 +135,11 @@ def test_pi_valenced_counterexample_rank3_quotient(corpus):
 
 
 def test_pi_valenced_requires_residual_thinness(corpus):
-    with pytest.raises(ValencyUndefinedError):
-        is_pi_valenced(corpus["k2"], SMALLEST, _sel("{2}"))
+    # One refusal: the ValencyUndefinedError of valency(H), with its message.
+    for scan in (is_pi_valenced, pi_radical, hall_subsets_enumerated):
+        with pytest.raises(ValencyUndefinedError,
+                           match="^k2 is not residually thin, valency undefined$"):
+            scan(corpus["k2"], SMALLEST, _sel("{2}"))
 
 
 def test_pi_radical_s3(corpus):
@@ -302,3 +307,78 @@ def test_smallest_partition_agreement_on_rt_corpus(corpus):
     for h in corpus.values():
         if is_residually_thin(h):
             assert is_sigma_solvable(h, SMALLEST) == is_solvable(h)
+
+
+def _fresh_s3():
+    # The corpus instances keep their stored facts between tests.
+    s3 = fx.sym3()
+    return FiniteHypergroup(s3.table, s3.star, name="s3")
+
+
+def _suite_rows(monkeypatch, name, fn):
+    with monkeypatch.context() as m:
+        m.setattr(hall, name, fn)
+        report = solvability_suite(_fresh_s3(), SMALLEST)
+    return [(c.name, c.applicable, c.violations) for c in report.checks]
+
+
+def test_solvability_suite_reports_every_violation(monkeypatch):
+    # Forced answers make each of the five checks report violations; the
+    # labels, counts and order were recorded before the checks shared one
+    # pattern.
+    real_chain = hall.thin_chain
+    quotients_fail = _suite_rows(monkeypatch, "is_sigma_solvable",
+                                 lambda h, s: "//" not in h.name)
+    only_quotients = _suite_rows(monkeypatch, "is_sigma_solvable",
+                                 lambda h, s: "//" in h.name)
+    no_chains_below_top = _suite_rows(
+        monkeypatch, "thin_chain",
+        lambda h, top, rule=None: real_chain(h, top, rule) if top == h.full else None)
+    assert quotients_fail == [
+        ("closed_subsets_inherit_solvability", 6, ()),
+        ("quotients_by_normal_inherit_solvability", 3, (
+            "quotient over normal [0]", "quotient over normal [0, 2, 5]",
+            "quotient over normal [0, 1, 2, 3, 4, 5]")),
+        ("quotients_by_subnormal_inherit_solvability", 3, (
+            "quotient over subnormal [0]", "quotient over subnormal [0, 2, 5]",
+            "quotient over subnormal [0, 1, 2, 3, 4, 5]")),
+        ("solvable_part_and_quotient_force_solvability", 0, ()),
+        ("smallest_partition_matches_prime_step_chains", 1, ()),
+    ]
+    assert only_quotients == [
+        ("closed_subsets_inherit_solvability", 0, ()),
+        ("quotients_by_normal_inherit_solvability", 0, ()),
+        ("quotients_by_subnormal_inherit_solvability", 0, ()),
+        ("solvable_part_and_quotient_force_solvability", 6, (
+            "assembled through [0]", "assembled through [0, 1]",
+            "assembled through [0, 3]", "assembled through [0, 4]",
+            "assembled through [0, 2, 5]",
+            "assembled through [0, 1, 2, 3, 4, 5]")),
+        ("smallest_partition_matches_prime_step_chains", 1, (
+            "smallest-partition solvability disagrees with prime-step chains",)),
+    ]
+    assert no_chains_below_top == [
+        ("closed_subsets_inherit_solvability", 6, (
+            "closed subset [0]", "closed subset [0, 1]", "closed subset [0, 3]",
+            "closed subset [0, 4]", "closed subset [0, 2, 5]")),
+        ("quotients_by_normal_inherit_solvability", 3, ()),
+        ("quotients_by_subnormal_inherit_solvability", 3, ()),
+        ("solvable_part_and_quotient_force_solvability", 1, ()),
+        ("smallest_partition_matches_prime_step_chains", 1, ()),
+    ]
+
+
+def test_verify_hall_scans_pi_valence_once(monkeypatch):
+    # The Pi-valenced witness is a stored fact: the constructive refusal
+    # reads the one verify_hall computed.
+    calls = []
+    real = hall.thin_elements
+
+    def counting(h):
+        calls.append(h.name)
+        return real(h)
+
+    monkeypatch.setattr(hall, "thin_elements", counting)
+    rep = verify_hall(_fresh_s3(), SMALLEST, _sel("{2}"))
+    assert rep.hypotheses_hold and rep.conclusions_hold
+    assert len(calls) == 1

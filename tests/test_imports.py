@@ -87,3 +87,16 @@ def test_only_core_names_the_store():
     named = [path.name for path in MODULES if path.name != "core.py"
              and _mentions(ast.parse(path.read_text(encoding="utf-8")))["_cache"]]
     assert not named, f"modules other than core.py name _cache: {', '.join(named)}"
+
+
+def test_only_valency_refuses_undefined_valency():
+    # Input that is not residually thin is refused in one place, valency(H),
+    # with one message; every other module reaches that refusal.
+    def constructs(tree):
+        return any(isinstance(node, ast.Call)
+                   and _mentions(node.func)["ValencyUndefinedError"]
+                   for node in ast.walk(tree))
+
+    sites = [path.name for path in MODULES
+             if constructs(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sites == ["valency.py"]

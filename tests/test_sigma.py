@@ -1,5 +1,6 @@
 import pytest
 
+from hypergroups.sigma import PRIME_TEST_BOUND
 from hypergroups import (
     PartitionSyntaxError,
     PiSelection,
@@ -27,6 +28,29 @@ def test_prime_factors():
 
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert all(is_prime(n) == (n >= 2 and prime_factors(n) == (n,))
+               for n in range(20000))
+
+
+# The Carmichael number 561 and the least strong pseudoprimes to the first
+# k prime bases, k = 1..12 (OEIS A014233), all below PRIME_TEST_BOUND.
+PSEUDOPRIMES = (561, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+                3474749660383, 341550071728321, 3825123056546413051,
+                318665857834031151167461)
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIMES)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_prime_literals_at_the_bound_are_refused():
+    assert is_prime(10**16 + 61) and is_prime(99999999999999999989)
+    big = str(PRIME_TEST_BOUND)
+    with pytest.raises(PartitionSyntaxError, match="too large"):
+        parse_partition(big)
+    with pytest.raises(PartitionSyntaxError, match="too large"):
+        parse_selection("{" + big + "}", SMALLEST)
 
 
 def test_partition_parsing():
