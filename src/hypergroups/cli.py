@@ -14,7 +14,7 @@ import json
 import sys
 
 from .bitset import members
-from .core import FiniteHypergroup, ValidationReport, closure, validate
+from .core import FiniteHypergroup, ValidationReport, closure
 from .errors import (
     HypergroupError,
     HypothesisViolationError,
@@ -25,21 +25,16 @@ from .errors import (
     StructuralError,
     ValencyUndefinedError,
 )
-from .formats import (
-    detect_format,
-    load_any,
-    load_as,
-    parse_document,
-    serialize_hypergroup,
-)
+from .formats import load_any, load_as, serialize_hypergroup
 from .hall import pi_radical, solvability_suite, verify_hall
 from .lattice import closed_subsets
 from .quotient import quotient
 from .sigma import parse_partition, parse_selection
 from .valency import is_residually_thin, thin_elements, valency
 
+# A table failing the axioms while a file is read for analysis is corrupt input.
 INPUT_ERRORS = (OSError, UnicodeDecodeError, ParseError, StructuralError,
-                PartitionSyntaxError, RankCapError)
+                PartitionSyntaxError, RankCapError, InvalidHypergroupError)
 
 
 def _emit(args, machine_obj, human_lines):
@@ -90,17 +85,14 @@ def _sigma_pi(args):
 
 
 def cmd_validate(args) -> int:
+    # Every reader returns only axiom-checked hypergroups; a native table
+    # that fails the check carries its report.
     text = _read(args.file)
-    fmt = detect_format(text)
-    if fmt != "hypergroup":
-        # Conversion validates: it returns only valid hypergroups and raises
-        # on invalid tables, so a second check could only answer "valid".
-        load_as(text, fmt)
+    try:
+        load_any(text)
         report = ValidationReport(valid=True, violations=())
-    else:
-        doc = parse_document(text)
-        table, star = doc.candidate()
-        report = validate(table, star)
+    except InvalidHypergroupError as exc:
+        report = exc.report
     machine = {
         "command": "validate",
         "valid": report.valid,
@@ -325,9 +317,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:
-        return _fail(str(exc), 2)
-    except InvalidHypergroupError as exc:
-        # Raised while ingesting a file for analysis: corrupt input.
         return _fail(str(exc), 2)
     except HypergroupError as exc:
         return _fail(str(exc), 1)

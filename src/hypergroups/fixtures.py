@@ -10,6 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import FiniteHypergroup, closure
+from .lattice import is_normal
+from .quotient import quotient
 
 
 def _perm_mul(a, b):
@@ -153,13 +155,7 @@ def _center(H: FiniteHypergroup) -> int:
     return mask
 
 
-def _normal_in_full(H, f) -> bool:
-    from .lattice import is_normal
-    return is_normal(H, f, H.full)
-
-
 def _quotient_by(H, f, name):
-    from .quotient import quotient
     q = quotient(H, f).quotient
     return FiniteHypergroup(q.table, q.star, name=name, rank_cap=q.rank_cap,
                             check=False)
@@ -210,7 +206,7 @@ def s4_mod_klein() -> FiniteHypergroup:
             if a >= b or h.table[a][b] != h.table[b][a]:
                 continue
             f = closure(h, {a, b})
-            if f.bit_count() == 4 and _normal_in_full(h, f):
+            if f.bit_count() == 4 and is_normal(h, f, h.full):
                 return _quotient_by(h, f, "s4_mod_klein")
     raise LookupError("no normal Klein subgroup found")
 
@@ -221,7 +217,7 @@ def s4_mod_transposition() -> FiniteHypergroup:
     h = sym4()
     for s in involutions(h):
         f = closure(h, {s})
-        if not _normal_in_full(h, f):
+        if not is_normal(h, f, h.full):
             q = _quotient_by(h, f, "s4_mod_transposition")
             if q.rank == 7:
                 return q

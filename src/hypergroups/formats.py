@@ -42,15 +42,11 @@ class HypergroupDocument:
     table: tuple[tuple[int, ...], ...]
     identity: int = 0
 
-    def candidate(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """(table, star) with the declared identity relabeled to index 0."""
+    def build(self) -> FiniteHypergroup:
+        """The axiom-checked hypergroup, declared identity relabeled to 0."""
         star, table = self.star, self.table
         if self.identity != 0:
             star, table = _relabel(self.rank, star, table, self.identity)
-        return table, star
-
-    def build(self) -> FiniteHypergroup:
-        table, star = self.candidate()
         return FiniteHypergroup(table, star, name=self.name)
 
 

@@ -7,17 +7,17 @@ thin and every step order inside a single class. A closed subset is a
 Pi-subset when its valency is a Pi-number, and a Hall Pi-subset when
 additionally the ambient valency divided by its own is a complement number.
 
-The Pi-valenced witness and the Pi-radical are stored facts of the
-hypergroup, one per (sigma, Pi), so a Hall report decides each once. Input
-that is not residually thin is refused in one place: valency(H) raises
-ValencyUndefinedError, which every Pi-subset scan here reaches first.
+The Pi-subsets, the Pi-valenced witness and the Pi-radical are stored
+facts of the hypergroup, one per (sigma, Pi), so a Hall report finds each
+once. Input that is not residually thin is refused in one place:
+valency(H) raises ValencyUndefinedError, which the Pi-subset scan reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits, subset_key
+from .bitset import bits
 from .core import Chain, FiniteHypergroup, cached, complex_product, is_closed
 from .errors import (
     HypothesisViolationError,
@@ -76,9 +76,18 @@ def subnormal_closed_subsets(H: FiniteHypergroup) -> tuple[int, ...]:
     def compute():
         lat = closed_subsets(H)
         return tuple(u for u in lat.subsets
-                     if climb(H, lat.normal_in, u, H.full) is not None)
+                     if next(climb(H, lat.normal_in, u, H.full), None))
 
     return cached(H, "subnormal", compute)
+
+
+def _pi_subsets(H: FiniteHypergroup, sigma: PrimePartition,
+                pi: PiSelection) -> tuple[int, ...]:
+    """The closed subsets of Pi-number valency, in lattice order, from {0};
+    stored per (sigma, Pi)."""
+    return cached(H, ("pi_subsets", sigma, pi), lambda: tuple(
+        c for c in closed_subsets(H).subsets
+        if is_pi_number(valency_of(H, c), sigma, pi)))
 
 
 def pi_valenced_violation(H: FiniteHypergroup, sigma: PrimePartition,
@@ -93,8 +102,9 @@ def pi_valenced_violation(H: FiniteHypergroup, sigma: PrimePartition,
     (sigma, Pi).
     """
     def compute():
-        for u in subnormal_closed_subsets(H):
-            if not is_pi_number(valency_of(H, u), sigma, pi):
+        subnormal = subnormal_closed_subsets(H)
+        for u in _pi_subsets(H, sigma, pi):
+            if u not in subnormal:
                 continue
             qm = quotient(H, u)
             q = qm.quotient
@@ -129,8 +139,8 @@ def pi_radical(H: FiniteHypergroup, sigma: PrimePartition,
     thin. Stored per (sigma, Pi) once the guarantees hold.
     """
     def compute():
-        candidates = [u for u in subnormal_closed_subsets(H)
-                      if is_pi_number(valency_of(H, u), sigma, pi)]
+        subnormal = subnormal_closed_subsets(H)
+        candidates = [u for u in _pi_subsets(H, sigma, pi) if u in subnormal]
         best = max(candidates, key=lambda m: m.bit_count())
         problems = []
         stragglers = [u for u in candidates if u & ~best]
@@ -155,15 +165,8 @@ def hall_subsets_enumerated(H: FiniteHypergroup, sigma: PrimePartition,
                             pi: PiSelection) -> tuple[int, ...]:
     """All closed C with Pi-number valency and complement-number covalency."""
     n_h = valency(H)
-    out = []
-    for c in closed_subsets(H).subsets:
-        n_c = valency_of(H, c)
-        if n_h % n_c:
-            raise InternalConsistencyError("subset valency must divide")
-        if is_pi_number(n_c, sigma, pi) and \
-                is_pi_complement_number(n_h // n_c, sigma, pi):
-            out.append(c)
-    return tuple(sorted(out, key=subset_key))
+    return tuple(c for c in _pi_subsets(H, sigma, pi)
+                 if is_pi_complement_number(n_h // valency_of(H, c), sigma, pi))
 
 
 def hall_subset_constructive(H: FiniteHypergroup, sigma: PrimePartition,
@@ -293,9 +296,7 @@ def verify_hall(H: FiniteHypergroup, sigma: PrimePartition,
         for i, s in enumerate(halls):
             for t in halls[i + 1:]:
                 conj.append((s, t, are_conjugate(H, s, t)))
-        for c in closed_subsets(H).subsets:
-            if not is_pi_number(valency_of(H, c), sigma, pi):
-                continue
+        for c in _pi_subsets(H, sigma, pi):
             home = next((hs for hs in halls if not c & ~hs), None)
             contain.append((c, home))
 

@@ -132,15 +132,15 @@ def is_strongly_normal(H: FiniteHypergroup, E, F) -> bool:
     return _strongly_normal_unchecked(H, em, fm)
 
 
-def climb(H: FiniteHypergroup, pairs, bottom: int, top: int,
-          step_ok=None) -> tuple[int, ...] | None:
-    """Ascending chain bottom = C0 < ... < Ck = top along a lattice relation.
+def climb(H: FiniteHypergroup, pairs, bottom: int, top: int, step_ok=None):
+    """Every chain bottom = C0 < ... < Ck = top along a lattice relation.
 
     pairs is closed_subsets(H).normal_in or .strongly_normal_in; every step
-    is in it and, when step_ok is given, passes step_ok(Ci, Ci+1). Depth
-    first, larger extensions before smaller (ties by member list), so one
-    step to the top wins whenever allowed; subsets from which the top is
-    unreachable are memoized as dead. Returns the masks, or None.
+    is in it and, when step_ok is given, passes step_ok(Ci, Ci+1). Yields
+    mask tuples depth first, larger extensions before smaller (ties by
+    member list), so the one-step chain comes first whenever allowed;
+    subsets from which the top is unreachable are memoized as dead. For one
+    chain, take next(climb(...), None).
     """
     def ascents():
         subsets = closed_subsets(H).subsets
@@ -154,20 +154,22 @@ def climb(H: FiniteHypergroup, pairs, bottom: int, top: int,
     up = cached(H, ("ascents", pairs), ascents)
     dead: set[int] = set()
 
-    def walk(f: int) -> tuple[int, ...] | None:
+    def walk(f: int):
         if f == top:
-            return (f,)
+            yield (f,)
+            return
         if f in dead:
-            return None
+            return
+        found = False
         for g in up[f]:
             if not g & ~top and (step_ok is None or step_ok(f, g)):
-                tail = walk(g)
-                if tail is not None:
-                    return (f,) + tail
-        dead.add(f)
-        return None
+                for tail in walk(g):
+                    found = True
+                    yield (f,) + tail
+        if not found:
+            dead.add(f)
 
-    return walk(bottom)
+    yield from walk(bottom)
 
 
 def is_subnormal(H: FiniteHypergroup, E, F) -> Chain | None:
@@ -177,7 +179,7 @@ def is_subnormal(H: FiniteHypergroup, E, F) -> Chain | None:
     necessarily a shortest one; None when no chain exists.
     """
     em, fm = _require_closed_pair(H, E, F, "is_subnormal")
-    path = climb(H, closed_subsets(H).normal_in, em, fm)
+    path = next(climb(H, closed_subsets(H).normal_in, em, fm), None)
     return Chain(H, path) if path else None
 
 

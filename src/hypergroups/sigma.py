@@ -12,25 +12,52 @@ when none does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from math import gcd
 
 from .errors import PartitionSyntaxError
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime divisors of n >= 1, ascending."""
+    """Distinct prime divisors of 1 <= n < PRIME_TEST_BOUND, ascending.
+
+    The factor 2 is stripped; then every cofactor that is_prime rejects is
+    split by Pollard's rho. Refused at the bound, where is_prime is no
+    longer exact.
+    """
     if n < 1:
         raise ValueError("prime_factors needs a positive integer")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"prime_factors needs n below {PRIME_TEST_BOUND}")
+    out = set()
+    if n % 2 == 0:
+        out.add(2)
+        n >>= (n & -n).bit_length() - 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            d = _rho_divisor(m)
+            stack += [d, m // d]
+    return tuple(sorted(out))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of an odd composite n: Pollard's rho with Floyd's
+    cycle finding, the next constant of x^2 + c whenever a cycle closes
+    without one."""
+    for c in count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
 
 
 # is_prime is exact below this bound (Sorenson and Webster, 2015); prime

@@ -1,13 +1,16 @@
 """Thin elements, residually thin chains and valencies.
 
-Every chain here comes from one search, thin_chain: closed subsets from
-the identity subset up to a closed top, each step quotient thin (lo is
-strongly normal in hi), each step order passing a rule. To the full set it
-witnesses residual thinness, to a closed C its step orders multiply to the
-valency of C, and its rules give hall's sigma-solvable and solvable chains.
-"""
+Every chain here comes from one search, lattice.climb over the strongly
+normal pairs: closed subsets from the identity subset up to a closed top,
+each step quotient thin (lo is strongly normal in hi). thin_chain takes the
+first whose step orders pass a rule. To the full set it witnesses residual
+thinness, to a closed C its step orders multiply to the valency of C, and
+its rules give hall's sigma-solvable and solvable chains; all_rt_chains
+lists the chains to the full set."""
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .bitset import mask_of
 from .core import Chain, FiniteHypergroup, cached, double_cosets_in, is_closed
@@ -29,8 +32,8 @@ def thin_chain(H: FiniteHypergroup, top: int, rule=None) -> Chain | None:
         return is_prime(n) if rule is is_prime else spans_single_class(n, rule)
 
     def compute():
-        path = climb(H, closed_subsets(H).strongly_normal_in, 1, top,
-                     None if rule is None else order_ok)
+        path = next(climb(H, closed_subsets(H).strongly_normal_in, 1, top,
+                          None if rule is None else order_ok), None)
         return Chain(H, path) if path else None
 
     return cached(H, ("chain", top, rule), compute)
@@ -104,30 +107,8 @@ def valency_of(H: FiniteHypergroup, C) -> int:
 
 
 def all_rt_chains(H: FiniteHypergroup, limit: int) -> list[Chain]:
-    """Up to limit residually thin chains, in lexicographic subset order.
-
-    Exhaustive backtracking over the lattice's strongly_normal_in relation;
-    extensions are tried in canonical subset order so the output order is
-    reproducible.
-    """
-    lat = closed_subsets(H)
-    strong = lat.strongly_normal_in
-    full = H.full
-    out: list[Chain] = []
-
-    def walk(prefix: list[int]) -> bool:
-        if len(out) >= limit:
-            return False
-        f = prefix[-1]
-        if f == full:
-            out.append(Chain(H, tuple(prefix)))
-            return len(out) < limit
-        i = lat.index[f]
-        for j, g in enumerate(lat.subsets):
-            if i != j and (i, j) in strong:
-                if not walk(prefix + [g]):
-                    return False
-        return True
-
-    walk([1])
-    return out
+    """Up to limit residually thin chains, in the order climb yields them:
+    depth first, larger extensions before smaller, ties by member list, so
+    the first is rt_chain(H)."""
+    paths = climb(H, closed_subsets(H).strongly_normal_in, 1, H.full)
+    return [Chain(H, path) for path in islice(paths, limit)]

@@ -30,6 +30,8 @@ def test_validate_broken_table(capsys, tmp_path):
 
 
 def test_validate_cayley_runs_the_axiom_check_once(capsys, fixtures_dir, monkeypatch):
+    # validate reads every format through load_any, whose hypergroup
+    # constructor is the one axiom check.
     calls = []
     real = core.validate
 
@@ -38,11 +40,12 @@ def test_validate_cayley_runs_the_axiom_check_once(capsys, fixtures_dir, monkeyp
         return real(*args, **kwargs)
 
     monkeypatch.setattr(core, "validate", counting)
-    monkeypatch.setattr(cli, "validate", counting)
-    code, out, _ = run(capsys, "validate", str(fixtures_dir / "s3.cayley"))
-    assert code == 0
-    assert "valid: yes" in out
-    assert len(calls) == 1
+    for file in ("s3.cayley", "k2.hg", "k3.scheme"):
+        calls.clear()
+        code, out, _ = run(capsys, "validate", str(fixtures_dir / file))
+        assert code == 0, file
+        assert "valid: yes" in out
+        assert len(calls) == 1, file
 
 
 def test_validate_missing_file(capsys):
@@ -257,7 +260,7 @@ def test_convert_malformed(capsys, tmp_path):
 
 def test_readers_are_looked_up_at_call_time(capsys, fixtures_dir, monkeypatch):
     # A tracer that rebinds a reader in hypergroups.formats must see every
-    # document that load_any and convert read.
+    # document that load_any, validate and convert read.
     calls = []
     for name in ("parse_hypergroup", "cayley_to_hypergroup", "scheme_to_hypergroup"):
         real = getattr(formats, name)
@@ -269,6 +272,11 @@ def test_readers_are_looked_up_at_call_time(capsys, fixtures_dir, monkeypatch):
         monkeypatch.setattr(formats, name, counting)
     for file in ("k2.hg", "z2.cayley", "k3.scheme"):
         formats.load_any((fixtures_dir / file).read_text())
+    assert calls == ["parse_hypergroup", "cayley_to_hypergroup", "scheme_to_hypergroup"]
+    calls.clear()
+    for file in ("k2.hg", "z2.cayley", "k3.scheme"):
+        code, _, _ = run(capsys, "validate", str(fixtures_dir / file))
+        assert code == 0
     assert calls == ["parse_hypergroup", "cayley_to_hypergroup", "scheme_to_hypergroup"]
     calls.clear()
     for file, fmt in (("z2.cayley", "cayley"), ("k3.scheme", "scheme")):

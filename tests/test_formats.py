@@ -11,10 +11,12 @@ from hypergroups import (
     is_thin,
     isomorphic,
     load_any,
+    members,
     parse_document,
     parse_hypergroup,
     scheme_to_hypergroup,
     serialize_hypergroup,
+    validate,
     valency,
 )
 from hypergroups import fixtures as fx
@@ -76,6 +78,58 @@ def test_identity_relabeling():
     h = parse_hypergroup(doc)
     assert h.table == ((1, 2), (2, 1 << 0)) or h.table == ((1, 2), (2, 1))
     assert h.table[0][0] == 1
+
+
+def _swapped_document(name, table, star, i):
+    """Native document of (table, star) with elements 0 and i swapped and an
+    'identity i' line, which the reader undoes."""
+    n = len(table)
+    perm = list(range(n))
+    perm[0], perm[i] = i, 0
+    lines = [f"hypergroup {name}", f"rank {n}", f"identity {i}",
+             "star " + " ".join(str(perm[star[perm[p]]]) for p in range(n))]
+    lines += [f"{p} {q} : " + " ".join(
+                  str(perm[x]) for x in members(table[perm[p]][perm[q]]))
+              for p in range(n) for q in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def _validate_file(tmp_path, capsys, text):
+    path = tmp_path / "doc.hg"
+    path.write_text(text)
+    code = main(["validate", str(path)])
+    return code, capsys.readouterr().out
+
+
+def test_identity_line_on_every_corpus_member(corpus, tmp_path, capsys):
+    # Every member with every index as its declared identity: 91 documents.
+    assert sum(h.rank for h in corpus.values()) == 91
+    for name, h in corpus.items():
+        for i in range(h.rank):
+            text = _swapped_document(name, h.table, h.star, i)
+            got = parse_hypergroup(text)
+            assert (got.table, got.star) == (h.table, h.star), (name, i)
+            assert _validate_file(tmp_path, capsys, text) == (0, "valid: yes\n")
+
+
+def test_identity_line_reports_violations_in_the_original_labels(
+        corpus, tmp_path, capsys):
+    # A corrupted entry, last element times the identity, gains the
+    # identity; validate reports what the axiom check finds on the corrupted
+    # table in the member's own labels, whichever index the document
+    # declares as its identity.
+    for name, h in corpus.items():
+        if h.rank < 2:
+            continue
+        table = [list(row) for row in h.table]
+        table[h.rank - 1][0] |= 1
+        report = validate(table, h.star)
+        assert not report.valid
+        want = "valid: no\n" + "".join(
+            f"violation: {v.axiom} witness {v.witness}\n" for v in report.violations)
+        for i in range(h.rank):
+            text = _swapped_document(name, table, h.star, i)
+            assert _validate_file(tmp_path, capsys, text) == (1, want), (name, i)
 
 
 def test_parse_errors_carry_line_numbers():

@@ -368,6 +368,26 @@ def test_solvability_suite_reports_every_violation(monkeypatch):
     ]
 
 
+def test_verify_hall_scans_pi_subsets_once(monkeypatch):
+    # The closed subsets of Pi-number valency are one stored scan, which
+    # the Pi-valenced witness, the radical, the Hall enumeration and the
+    # containment check all read. s3 makes 17 calls: 6 in the scan, one per
+    # closed subset; 4 for the covalencies of the Pi-subsets {0} and the
+    # three reflection subgroups; 6 for the thin closed product sets of the
+    # quotient over {0}; 1 for the lifted Hall subset.
+    calls = []
+    real = hall.valency_of
+
+    def counting(h, c):
+        calls.append(h.name)
+        return real(h, c)
+
+    monkeypatch.setattr(hall, "valency_of", counting)
+    rep = verify_hall(_fresh_s3(), SMALLEST, _sel("{2}"))
+    assert rep.hypotheses_hold and rep.conclusions_hold
+    assert len(calls) == 17
+
+
 def test_verify_hall_scans_pi_valence_once(monkeypatch):
     # The Pi-valenced witness is a stored fact: the constructive refusal
     # reads the one verify_hall computed.

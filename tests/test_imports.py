@@ -89,6 +89,18 @@ def test_only_core_names_the_store():
     assert not named, f"modules other than core.py name _cache: {', '.join(named)}"
 
 
+def test_only_formats_dispatches_on_format():
+    # Every document is read through formats.load_any or load_as: no other
+    # module parses a native document or picks a reader itself.
+    names = ("parse_document", "detect_format", "HypergroupDocument")
+    named = []
+    for path in MODULES:
+        if path.name != "formats.py":
+            mentions = _mentions(ast.parse(path.read_text(encoding="utf-8")))
+            named += [f"{path.name} names {name}" for name in names if mentions[name]]
+    assert not named, "; ".join(named)
+
+
 def test_only_valency_refuses_undefined_valency():
     # Input that is not residually thin is refused in one place, valency(H),
     # with one message; every other module reaches that refusal.

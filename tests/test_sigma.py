@@ -15,6 +15,8 @@ from hypergroups import (
     spans_single_class,
 )
 
+from oracles import trial_prime_factors
+
 
 def test_prime_factors():
     assert prime_factors(1) == ()
@@ -26,9 +28,29 @@ def test_prime_factors():
         prime_factors(0)
 
 
+def test_prime_factors_match_trial_division():
+    assert all(prime_factors(n) == tuple(sorted(trial_prime_factors(n)))
+               for n in range(1, 20000))
+
+
+def test_prime_factors_split_large_cofactors():
+    # Cofactors with 12-digit prime factors, out of reach of trial division:
+    # a strong pseudoprime to the first 12 prime bases, and a prime square
+    # times a large prime.
+    assert prime_factors(318665857834031151167461) == (399165290221, 798330580441)
+    assert prime_factors(1000003**2 * 399165290221) == (1000003, 399165290221)
+
+
+def test_prime_factors_refused_at_the_bound():
+    # is_prime, which decides every cofactor, is exact only below the bound.
+    assert prime_factors(PRIME_TEST_BOUND - 1)[-1] == 858557454841
+    with pytest.raises(ValueError, match="below"):
+        prime_factors(PRIME_TEST_BOUND)
+
+
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert all(is_prime(n) == (n >= 2 and prime_factors(n) == (n,))
+    assert all(is_prime(n) == (trial_prime_factors(n) == {n})
                for n in range(20000))
 
 

@@ -108,6 +108,14 @@ def test_all_rt_chains_counts_match_oracle(small_corpus):
         assert got == oracle, name
 
 
+def test_all_rt_chains_start_with_rt_chain(corpus):
+    # One chain search: the first chain all_rt_chains lists is the one
+    # rt_chain (and so valency) reads.
+    for name, h in corpus.items():
+        if is_residually_thin(h):
+            assert all_rt_chains(h, 1)[0].subsets == rt_chain(h).subsets, name
+
+
 def test_s3_chains_frozen():
     # Oracle-computed: exactly two residually thin chains in s3, the
     # one-step chain and the one through the rotation subgroup. Chains
