@@ -19,6 +19,7 @@ from .core import (
     restrict_subset,
     star_set,
     sub_hypergroup,
+    thin_elements,
     validate,
 )
 from .errors import (
@@ -98,7 +99,6 @@ from .valency import (
     is_residually_thin,
     is_thin,
     rt_chain,
-    thin_elements,
     valency,
     valency_of,
 )

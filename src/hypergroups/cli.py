@@ -14,7 +14,7 @@ import json
 import sys
 
 from .bitset import members
-from .core import FiniteHypergroup, ValidationReport, closure
+from .core import FiniteHypergroup, ValidationReport, closure, thin_elements
 from .errors import (
     HypergroupError,
     HypothesisViolationError,
@@ -30,7 +30,7 @@ from .hall import pi_radical, solvability_suite, verify_hall
 from .lattice import closed_subsets
 from .quotient import quotient
 from .sigma import parse_partition, parse_selection
-from .valency import is_residually_thin, thin_elements, valency
+from .valency import is_residually_thin, valency
 
 # A table failing the axioms while a file is read for analysis is corrupt input.
 INPUT_ERRORS = (OSError, UnicodeDecodeError, ParseError, StructuralError,

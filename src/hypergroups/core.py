@@ -259,6 +259,12 @@ def cached(H: FiniteHypergroup, key, compute):
     return store[key]
 
 
+def thin_elements(H: FiniteHypergroup) -> int:
+    """Mask of elements s with s* s = {identity}."""
+    return cached(H, "thin", lambda: mask_of(
+        s for s in range(H.rank) if H.table[H.star[s]][s] == 1))
+
+
 def complex_product(H: FiniteHypergroup, P, Q) -> int:
     """Union of the table entries over p in P, q in Q. Empty if either is."""
     pm = H.subset(P)

@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bits
-from .core import Chain, FiniteHypergroup, cached, complex_product, is_closed
+from .core import (
+    Chain,
+    FiniteHypergroup,
+    cached,
+    complex_product,
+    is_closed,
+    thin_elements,
+)
 from .errors import (
     HypothesisViolationError,
     InternalConsistencyError,
@@ -38,7 +45,6 @@ from .valency import (
     is_thin,
     rt_chain,
     thin_chain,
-    thin_elements,
     valency,
     valency_of,
 )
@@ -82,12 +88,18 @@ def subnormal_closed_subsets(H: FiniteHypergroup) -> tuple[int, ...]:
 
 
 def _pi_subsets(H: FiniteHypergroup, sigma: PrimePartition,
-                pi: PiSelection) -> tuple[int, ...]:
-    """The closed subsets of Pi-number valency, in lattice order, from {0};
-    stored per (sigma, Pi)."""
-    return cached(H, ("pi_subsets", sigma, pi), lambda: tuple(
-        c for c in closed_subsets(H).subsets
-        if is_pi_number(valency_of(H, c), sigma, pi)))
+                pi: PiSelection) -> dict[int, int]:
+    """The closed subsets of Pi-number valency, each with its valency, in
+    lattice order from {0}; stored per (sigma, Pi)."""
+    def compute():
+        found = {}
+        for c in closed_subsets(H).subsets:
+            n = valency_of(H, c)
+            if is_pi_number(n, sigma, pi):
+                found[c] = n
+        return found
+
+    return cached(H, ("pi_subsets", sigma, pi), compute)
 
 
 def pi_valenced_violation(H: FiniteHypergroup, sigma: PrimePartition,
@@ -165,8 +177,8 @@ def hall_subsets_enumerated(H: FiniteHypergroup, sigma: PrimePartition,
                             pi: PiSelection) -> tuple[int, ...]:
     """All closed C with Pi-number valency and complement-number covalency."""
     n_h = valency(H)
-    return tuple(c for c in _pi_subsets(H, sigma, pi)
-                 if is_pi_complement_number(n_h // valency_of(H, c), sigma, pi))
+    return tuple(c for c, n in _pi_subsets(H, sigma, pi).items()
+                 if is_pi_complement_number(n_h // n, sigma, pi))
 
 
 def hall_subset_constructive(H: FiniteHypergroup, sigma: PrimePartition,

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bitset import bits, subset_key
-from .core import Chain, FiniteHypergroup, cached, closure, complex_product, is_closed
+from .bitset import bits, mask_of, subset_key
+from .core import (
+    Chain,
+    FiniteHypergroup,
+    cached,
+    closure,
+    complex_product,
+    is_closed,
+    thin_elements,
+)
 from .errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -58,15 +66,55 @@ def closed_subsets(H: FiniteHypergroup) -> ClosedSubsetLattice:
     """Enumerate every closed subset and the normality relations.
 
     Cyclic extension instead of a powerset sweep: the distinct closures of
-    single elements are computed once, each with one representative. Starting
-    from the identity subset, a depth-first stack extends each closed F by
-    every such closure not already inside F, closing F's generators together
-    with the representative. Every closed subset is the closure of its
-    members, so it is reached one cyclic closure at a time. Refuses above the
-    instance's rank cap, where an exhaustive enumeration is no longer
-    guaranteed to be affordable.
+    single elements are computed once, each with one representative.
+    Starting from the identity subset, a depth-first stack extends a closed
+    F by every such closure not already inside F, closing F's generators
+    together with the representative. Every closed subset is the closure of
+    its members, so it is reached one cyclic closure at a time.
+
+    Only one closed subset per orbit under conjugation by thin elements is
+    extended; the rest of its orbit is its image under the permutations of
+    conjugations(H). This is exact. Let h be thin, so h*h = {0}. Then
+    h*(hx) = {x} for every x, so the n sets hx are pairwise disjoint and
+    nonempty subsets of the n elements, hence singletons. 0 lies in hh* by
+    H3, so hh* = {0} and h* is thin as well; applying star, xh is a
+    singleton too. So phi(x) = h*xh is a permutation, with inverse
+    x -> hxh*, and by H1 and (pq)* = q*p* it satisfies phi(p)phi(q) =
+    phi(pq) and phi(p*) = phi(p)*: an automorphism, which preserves
+    closedness, normality and strong normality. Every orbit
+    is reached: if G = closure(F u cyc(x)) and F' = phi(F) is the
+    representative that gets extended, then closure(F' u cyc(phi(x))) =
+    phi(G), and cyc(phi(x)) = phi(cyc(x)) is one of the distinct cyclic
+    closures. The relations are likewise tested only for pairs (E, F) with
+    E a representative; each hit (E, F) gives (phi(E), phi(F)) for every
+    member phi(E) of E's orbit, one phi per member, so every pair of the
+    lattice is visited exactly once.
+
+    Refuses above the instance's rank cap, where an exhaustive enumeration
+    is no longer guaranteed to be affordable.
     """
     return cached(H, "lattice", lambda: _enumerate(H))
+
+
+def conjugations(H: FiniteHypergroup) -> dict[int, tuple[int, ...]]:
+    """The permutation x -> h* x h of the elements, for every thin h.
+
+    Read from the table; each product the proof in closed_subsets says is a
+    singleton is checked to be one.
+    """
+    def element(m):
+        if m.bit_count() != 1:
+            raise InternalConsistencyError(
+                "conjugation by a thin element is not a permutation")
+        return m.bit_length() - 1
+
+    t = H.table
+    return {h: tuple(element(t[element(hx)][h]) for hx in t[H.star[h]])
+            for h in bits(thin_elements(H))}
+
+
+def _image(perm: tuple[int, ...], mask: int) -> int:
+    return mask_of(map(perm.__getitem__, bits(mask)))
 
 
 def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
@@ -74,10 +122,20 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
         raise RankCapError(
             f"rank {H.rank} exceeds the lattice cap {H.rank_cap}; "
             "raise the cap explicitly to proceed")
+    # The distinct automorphisms, the identity (h = 0) first.
+    perms = tuple(dict.fromkeys(conjugations(H).values()))
+    rep_of: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    def add_orbit(g):
+        # Each member of g's orbit -> (g, a permutation carrying g onto it).
+        for p in perms:
+            rep_of.setdefault(_image(p, g), (g, p))
+
     cyclic: dict[int, int] = {}
     for x in range(1, H.rank):
         cyclic.setdefault(closure(H, 1 << x), x)
-    gens = {1: 0}  # closed subset -> a generating mask; {0} needs none
+    gens = {1: 0}  # representative -> a generating mask; {0} needs none
+    add_orbit(1)
     stack = [1]
     while stack:
         f = stack.pop()
@@ -85,25 +143,34 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
             if c & ~f:
                 g_gens = gens[f] | 1 << x
                 g = closure(H, g_gens)
-                if g not in gens:
+                if g not in rep_of:
                     gens[g] = g_gens
+                    add_orbit(g)
                     stack.append(g)
-    subsets = tuple(sorted(gens, key=subset_key))
+    subsets = tuple(sorted(rep_of, key=subset_key))
     index = {m: i for i, m in enumerate(subsets)}
+    orbits: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for m, (rep, p) in rep_of.items():
+        orbits.setdefault(rep, []).append((index[m], p))
 
     normal = set()
     strong = set()
-    for i, e in enumerate(subsets):
-        for j, f in enumerate(subsets):
+    for e, orbit in orbits.items():
+        for f in subsets:
             if e & ~f:
                 continue
-            if _normal_unchecked(H, e, f):
-                normal.add((i, j))
-                if _strongly_normal_unchecked(H, e, f):
-                    strong.add((i, j))
-            elif _strongly_normal_unchecked(H, e, f):
+            is_normal_pair = _normal_unchecked(H, e, f)
+            is_strong_pair = _strongly_normal_unchecked(H, e, f)
+            if is_strong_pair and not is_normal_pair:
                 raise InternalConsistencyError(
                     "strong normality without normality")
+            if not is_normal_pair:
+                continue
+            for k, p in orbit:
+                pair = (k, index[_image(p, f)])
+                normal.add(pair)
+                if is_strong_pair:
+                    strong.add(pair)
     return ClosedSubsetLattice(subsets=subsets,
                                normal_in=frozenset(normal),
                                strongly_normal_in=frozenset(strong),

@@ -1,4 +1,4 @@
-"""Thin elements, residually thin chains and valencies.
+"""Thinness, residually thin chains and valencies.
 
 Every chain here comes from one search, lattice.climb over the strongly
 normal pairs: closed subsets from the identity subset up to a closed top,
@@ -12,8 +12,14 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .bitset import mask_of
-from .core import Chain, FiniteHypergroup, cached, double_cosets_in, is_closed
+from .core import (
+    Chain,
+    FiniteHypergroup,
+    cached,
+    double_cosets_in,
+    is_closed,
+    thin_elements,
+)
 from .errors import InternalConsistencyError, PreconditionError, ValencyUndefinedError
 from .lattice import climb, closed_subsets
 from .sigma import is_prime, spans_single_class
@@ -37,12 +43,6 @@ def thin_chain(H: FiniteHypergroup, top: int, rule=None) -> Chain | None:
         return Chain(H, path) if path else None
 
     return cached(H, ("chain", top, rule), compute)
-
-
-def thin_elements(H: FiniteHypergroup) -> int:
-    """Mask of elements s with s* s = {identity}."""
-    return cached(H, "thin", lambda: mask_of(
-        s for s in range(H.rank) if H.table[H.star[s]][s] == 1))
 
 
 def is_thin(H: FiniteHypergroup) -> bool:

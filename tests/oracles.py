@@ -143,6 +143,25 @@ def naive_product(table, P, Q) -> set[int]:
     return out
 
 
+def naive_normal_pairs(table, star, subsets):
+    """(normal, strongly normal) index pairs (i, j) with subsets[i] inside
+    subsets[j] and, for every h in subsets[j], E h inside h E, respectively
+    h* E h inside E, where E = subsets[i]; subsets are python sets."""
+    normal = set()
+    strong = set()
+    for i, e in enumerate(subsets):
+        for j, f in enumerate(subsets):
+            if not e <= f:
+                continue
+            if all(naive_product(table, e, {h}) <= naive_product(table, {h}, e)
+                   for h in f):
+                normal.add((i, j))
+            if all(naive_product(table, {star[h]}, naive_product(table, e, {h})) <= e
+                   for h in f):
+                strong.add((i, j))
+    return normal, strong
+
+
 def naive_double_cosets(table, F, universe) -> list[frozenset[int]]:
     blocks = []
     covered = set()

@@ -369,12 +369,12 @@ def test_solvability_suite_reports_every_violation(monkeypatch):
 
 
 def test_verify_hall_scans_pi_subsets_once(monkeypatch):
-    # The closed subsets of Pi-number valency are one stored scan, which
-    # the Pi-valenced witness, the radical, the Hall enumeration and the
-    # containment check all read. s3 makes 17 calls: 6 in the scan, one per
-    # closed subset; 4 for the covalencies of the Pi-subsets {0} and the
-    # three reflection subgroups; 6 for the thin closed product sets of the
-    # quotient over {0}; 1 for the lifted Hall subset.
+    # The closed subsets of Pi-number valency, each with its valency, are
+    # one stored scan, which the Pi-valenced witness, the radical, the Hall
+    # enumeration (its covalencies included) and the containment check all
+    # read. s3 makes 13 calls: 6 in the scan, one per closed subset; 6 for
+    # the thin closed product sets of the quotient over {0}; 1 for the
+    # lifted Hall subset.
     calls = []
     real = hall.valency_of
 
@@ -385,7 +385,7 @@ def test_verify_hall_scans_pi_subsets_once(monkeypatch):
     monkeypatch.setattr(hall, "valency_of", counting)
     rep = verify_hall(_fresh_s3(), SMALLEST, _sel("{2}"))
     assert rep.hypotheses_hold and rep.conclusions_hold
-    assert len(calls) == 17
+    assert len(calls) == 13
 
 
 def test_verify_hall_scans_pi_valence_once(monkeypatch):
