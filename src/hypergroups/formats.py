@@ -183,10 +183,10 @@ def parse_document(text: str) -> HypergroupDocument:
         raise ParseError("missing star line", lines[-1][0])
     if not (0 <= identity < rank):
         raise ParseError("identity index out of range", identity_line)
-    missing = [(p, q) for p in range(rank) for q in range(rank)
-               if (p, q) not in entries]
-    if missing:
-        raise ParseError(f"missing table entry {missing[0]}", lines[-1][0])
+    missing = next(((p, q) for p in range(rank) for q in range(rank)
+                    if (p, q) not in entries), None)
+    if missing is not None:
+        raise ParseError(f"missing table entry {missing}", lines[-1][0])
     table = tuple(tuple(entries[(p, q)] for q in range(rank))
                   for p in range(rank))
     return HypergroupDocument(name=name, rank=rank, star=star, table=table,

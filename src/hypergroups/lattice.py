@@ -46,20 +46,20 @@ class ClosedSubsetLattice:
             raise PreconditionError(f"{mask:#x} is not a closed subset here") from None
 
 
-def _normal_unchecked(H, E, F) -> bool:
+def _normality(H, E, F) -> tuple[bool, bool]:
+    """(E normal in F, E strongly normal in F), forming each E h once for
+    both tests; each test stops at its first failing h."""
+    normal = strong = True
     for h in bits(F):
         hm = 1 << h
-        if complex_product(H, E, hm) & ~complex_product(H, hm, E):
-            return False
-    return True
-
-
-def _strongly_normal_unchecked(H, E, F) -> bool:
-    for h in bits(F):
-        conj = complex_product(H, 1 << H.star[h], complex_product(H, E, 1 << h))
-        if conj & ~E:
-            return False
-    return True
+        eh = complex_product(H, E, hm)
+        normal = normal and not eh & ~complex_product(H, hm, E)
+        strong = strong and not complex_product(H, 1 << H.star[h], eh) & ~E
+        if not (normal or strong):
+            break
+    if strong and not normal:
+        raise InternalConsistencyError("strong normality without normality")
+    return normal, strong
 
 
 def closed_subsets(H: FiniteHypergroup) -> ClosedSubsetLattice:
@@ -159,11 +159,7 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
         for f in subsets:
             if e & ~f:
                 continue
-            is_normal_pair = _normal_unchecked(H, e, f)
-            is_strong_pair = _strongly_normal_unchecked(H, e, f)
-            if is_strong_pair and not is_normal_pair:
-                raise InternalConsistencyError(
-                    "strong normality without normality")
+            is_normal_pair, is_strong_pair = _normality(H, e, f)
             if not is_normal_pair:
                 continue
             for k, p in orbit:
@@ -189,14 +185,12 @@ def _require_closed_pair(H, E, F, op):
 
 def is_normal(H: FiniteHypergroup, E, F) -> bool:
     """E h inside h E for every h in F, with E contained in F, both closed."""
-    em, fm = _require_closed_pair(H, E, F, "is_normal")
-    return _normal_unchecked(H, em, fm)
+    return _normality(H, *_require_closed_pair(H, E, F, "is_normal"))[0]
 
 
 def is_strongly_normal(H: FiniteHypergroup, E, F) -> bool:
     """h* E h inside E for every h in F, with E contained in F, both closed."""
-    em, fm = _require_closed_pair(H, E, F, "is_strongly_normal")
-    return _strongly_normal_unchecked(H, em, fm)
+    return _normality(H, *_require_closed_pair(H, E, F, "is_strongly_normal"))[1]
 
 
 def climb(H: FiniteHypergroup, pairs, bottom: int, top: int, step_ok=None):

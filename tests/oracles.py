@@ -162,6 +162,12 @@ def naive_normal_pairs(table, star, subsets):
     return normal, strong
 
 
+def naive_thin_residue(table, star, F) -> frozenset[int]:
+    """O^theta(F): the closure of the union of h* h over h in F."""
+    return naive_closure(table, star,
+                         set().union(*(table[star[h]][h] for h in F)))
+
+
 def naive_double_cosets(table, F, universe) -> list[frozenset[int]]:
     blocks = []
     covered = set()

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -130,6 +131,24 @@ def test_identity_line_reports_violations_in_the_original_labels(
         for i in range(h.rank):
             text = _swapped_document(name, table, h.star, i)
             assert _validate_file(tmp_path, capsys, text) == (1, want), (name, i)
+
+
+def test_missing_entry_of_a_large_rank_is_found_in_small_memory():
+    # A 4 KB document of rank 1000 with one entry: the first missing entry
+    # is reported without listing the other 999 999.
+    rank = 1000
+    text = (f"hypergroup big\nrank {rank}\n"
+            f"star {' '.join(map(str, range(rank)))}\n0 0 : 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "missing table entry (0, 1) (line 4)"
+    assert err.value.line == 4
+    assert peak < 5 * 2**20
 
 
 def test_parse_errors_carry_line_numbers():

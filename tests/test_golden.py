@@ -1,9 +1,10 @@
-"""Golden --machine output of the CLI on every fixture file.
+"""Golden CLI output on every fixture file, with and without --machine.
 
 Each recorded command runs in-process through cli.main and must reproduce
-the stored stdout byte for byte, and the stored exit code. Refactors of the
-analysis pipeline must not change any answer; a deliberate change of output
-is re-recorded with
+the stored output byte for byte, and the stored exit code: stdout for the
+--machine runs (machine.json), stdout and stderr for the human-readable
+runs (human.json). Refactors of the analysis pipeline must not change any
+answer or message; a deliberate change of output is re-recorded with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,7 +20,8 @@ import pytest
 from hypergroups.cli import main
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
-GOLDEN = Path(__file__).parent / "golden" / "machine.json"
+GOLDEN = {mode: Path(__file__).parent / "golden" / f"{mode}.json"
+          for mode in ("machine", "human")}
 
 COMMANDS = {
     "validate": ["validate"],
@@ -38,37 +40,52 @@ def _cases():
             yield path.name, key
 
 
-def _argv(fixture, key):
-    return COMMANDS[key] + [str(FIXTURES / fixture), "--machine", "--rank-cap", "60"]
+def _argv(mode, fixture, key):
+    flags = ["--machine"] if mode == "machine" else []
+    return COMMANDS[key] + [str(FIXTURES / fixture), *flags, "--rank-cap", "60"]
 
 
-def _expected():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+def _expected(mode):
+    return json.loads(GOLDEN[mode].read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("fixture,key", list(_cases()))
 def test_machine_output_matches_golden(capsys, fixture, key):
-    want = _expected()[f"{fixture} {key}"]
-    code = main(_argv(fixture, key))
+    want = _expected("machine")[f"{fixture} {key}"]
+    code = main(_argv("machine", fixture, key))
     assert capsys.readouterr().out == want["stdout"]
     assert code == want["exit"]
 
 
+@pytest.mark.parametrize("fixture,key", list(_cases()))
+def test_human_output_matches_golden(capsys, fixture, key):
+    want = _expected("human")[f"{fixture} {key}"]
+    code = main(_argv("human", fixture, key))
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (want["stdout"], want["stderr"])
+    assert code == want["exit"]
+
+
 def test_golden_covers_every_case():
-    assert sorted(_expected()) == sorted(f"{f} {k}" for f, k in _cases())
+    cases = sorted(f"{f} {k}" for f, k in _cases())
+    for mode in GOLDEN:
+        assert sorted(_expected(mode)) == cases, mode
 
 
-def _record():
+def _record(mode):
     out = {}
     for fixture, key in _cases():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-            code = main(_argv(fixture, key))
-        out[f"{fixture} {key}"] = {"exit": code, "stdout": buf.getvalue()}
-    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    print(f"recorded {len(out)} cases in {GOLDEN}", file=sys.stderr)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(_argv(mode, fixture, key))
+        out[f"{fixture} {key}"] = {"exit": code, "stdout": stdout.getvalue()}
+        if mode == "human":
+            out[f"{fixture} {key}"]["stderr"] = stderr.getvalue()
+    GOLDEN[mode].write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
+                            encoding="utf-8")
+    print(f"recorded {len(out)} cases in {GOLDEN[mode]}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    _record()
+    for mode in GOLDEN:
+        _record(mode)

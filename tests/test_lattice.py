@@ -26,6 +26,7 @@ from oracles import (
     naive_extension_closed_subsets,
     naive_normal_pairs,
     naive_product,
+    naive_thin_residue,
     sets_of,
 )
 
@@ -115,6 +116,36 @@ def test_relations_match_the_naive_pairs(corpus, group_quotients):
         assert lat.strongly_normal_in == strong
 
 
+def test_public_predicates_agree_with_the_lattice(corpus, group_quotients):
+    # is_normal and is_strongly_normal reach the kernel directly, the
+    # lattice through orbit carrying; both must give the same pairs.
+    for h in [*corpus.values(), *group_quotients.values()]:
+        lat = closed_subsets(h)
+        for i, e in enumerate(lat.subsets):
+            for j, f in enumerate(lat.subsets):
+                if not e & ~f:
+                    assert is_normal(h, e, f) == ((i, j) in lat.normal_in)
+                    assert (is_strongly_normal(h, e, f)
+                            == ((i, j) in lat.strongly_normal_in))
+
+
+def test_a5_relations_share_each_product(monkeypatch):
+    # One product E h per element serves both normality tests: a fresh A5
+    # lattice makes 1 563 complex products where two kernels made 2 084.
+    calls = []
+    real = lattice.complex_product
+
+    def counting(h, p, q):
+        calls.append((p, q))
+        return real(h, p, q)
+
+    monkeypatch.setattr(lattice, "complex_product", counting)
+    lat = closed_subsets(fx.alt5().with_rank_cap(60))
+    assert len(calls) < 1700
+    assert len(lat.normal_in) == 153
+    assert len(lat.strongly_normal_in) == 153
+
+
 def test_s3_has_six_closed_subsets(corpus):
     lat = closed_subsets(corpus["s3"])
     assert len(lat.subsets) == 6
@@ -133,6 +164,24 @@ def test_strongly_normal_implies_normal(corpus):
     for h in corpus.values():
         lat = closed_subsets(h)
         assert lat.strongly_normal_in <= lat.normal_in
+
+
+def test_strongly_normal_subsets_contain_the_thin_residue(corpus):
+    # E strongly normal in F implies O^theta(F) inside E; the converse
+    # fails: in S3 a reflection subgroup contains O^theta(S3) = {0} but is
+    # not even normal.
+    for h in corpus.values():
+        table, star = sets_of(h)
+        lat = closed_subsets(h)
+        for i, j in lat.strongly_normal_in:
+            residue = naive_thin_residue(table, star, members(lat.subsets[j]))
+            assert residue <= set(members(lat.subsets[i]))
+    s3 = corpus["s3"]
+    table, star = sets_of(s3)
+    refl = closure(s3, [fx.involutions(s3)[0]])
+    assert naive_thin_residue(table, star, range(s3.rank)) == {0}
+    assert not is_strongly_normal(s3, refl, s3.full)
+    assert not is_normal(s3, refl, s3.full)
 
 
 def test_normality_examples(corpus):
