@@ -30,7 +30,6 @@ from .errors import (
     ParseError,
     PartitionSyntaxError,
     PreconditionError,
-    ProductNotClosedError,
     RankCapError,
     SearchExhaustedError,
     StructuralError,
@@ -60,24 +59,18 @@ from .hall import (
     pi_valenced_violation,
     sigma_solvable_chain,
     solvability_suite,
-    solvable_chain,
     subnormal_closed_subsets,
     verify_hall,
 )
 from .lattice import (
     ClosedSubsetLattice,
     closed_subsets,
-    intersect,
     is_normal,
     is_strongly_normal,
-    is_subnormal,
-    product_closed,
 )
 from .quotient import (
-    ISO_DEFAULT_RANK_CAP,
     QuotientMap,
     double_cosets,
-    isomorphic,
     lift,
     quotient,
     section_quotient,
@@ -95,7 +88,6 @@ from .sigma import (
     spans_single_class,
 )
 from .valency import (
-    all_rt_chains,
     is_residually_thin,
     is_thin,
     rt_chain,

@@ -403,29 +403,18 @@ class Chain:
     """An ascending chain of closed subsets of base, with its step data.
 
     step_orders[i] is the number of double cosets of subsets[i] inside
-    subsets[i+1], counted in base's own coordinates. step_quotients[i] is
-    the quotient of subsets[i+1] (as a sub-hypergroup) over subsets[i], of
-    rank step_orders[i]; it is built only when read. A chain witnessing
+    subsets[i+1], counted in base's own coordinates. A chain witnessing
     residual thinness starts at the identity subset and has every step
-    quotient thin; subnormality witnesses may start anywhere.
+    quotient thin.
     """
 
     base: FiniteHypergroup
     subsets: tuple[int, ...]
 
-    def _steps(self):
-        return zip(self.subsets, self.subsets[1:])
-
     @cached_property
     def step_orders(self) -> tuple[int, ...]:
         return tuple(len(double_cosets_in(self.base, lo, hi))
-                     for lo, hi in self._steps())
-
-    @cached_property
-    def step_quotients(self) -> tuple[FiniteHypergroup, ...]:
-        from .quotient import section_quotient  # quotient imports this module
-        return tuple(section_quotient(self.base, lo, hi).quotient
-                     for lo, hi in self._steps())
+                     for lo, hi in zip(self.subsets, self.subsets[1:]))
 
     @property
     def order_product(self) -> int:

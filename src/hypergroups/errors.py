@@ -35,16 +35,6 @@ class ValencyUndefinedError(HypergroupError):
     """The hypergroup is not residually thin, so its valency is undefined."""
 
 
-class ProductNotClosedError(HypergroupError):
-    """A set product expected to be closed is not; carries the escaping witness."""
-
-    def __init__(self, a: int, b: int, escaped: int):
-        self.witness = (a, b, escaped)
-        super().__init__(
-            f"product set is not closed: {a}* . {b} reaches element {escaped} outside it"
-        )
-
-
 class HypothesisViolationError(HypergroupError):
     """A guaranteed property failed, meaning the input sits outside the
     hypotheses under which the guarantee holds. Carries diagnostics."""

@@ -64,17 +64,13 @@ def is_sigma_solvable(H: FiniteHypergroup, sigma: PrimePartition) -> bool:
     return sigma_solvable_chain(H, sigma) is not None
 
 
-def solvable_chain(H: FiniteHypergroup) -> Chain | None:
-    """A chain with thin step quotients of prime order, or None.
+def is_solvable(H: FiniteHypergroup) -> bool:
+    """A chain with thin step quotients of prime order exists.
 
     This is the strictest chain notion used here; with the smallest
     partition it characterises the residually thin sigma-solvable case.
     """
-    return thin_chain(H, H.full, is_prime)
-
-
-def is_solvable(H: FiniteHypergroup) -> bool:
-    return solvable_chain(H) is not None
+    return thin_chain(H, H.full, is_prime) is not None
 
 
 def subnormal_closed_subsets(H: FiniteHypergroup) -> tuple[int, ...]:
@@ -226,7 +222,13 @@ def hall_subset_constructive(H: FiniteHypergroup, sigma: PrimePartition,
 
 
 def are_conjugate(H: FiniteHypergroup, S, T) -> int | None:
-    """An element h with h S h* inside T and h T h* inside S, if any."""
+    """The first element h with h S h* inside T and h T h* inside S, if any.
+
+    Any element h may witness, thin or not. PAPER.md holds only the
+    paper's abstract, so which notion of conjugacy the paper proves is not
+    recorded in this repository; this mutual-containment notion is the one
+    the Hall report checks.
+    """
     sm = H.subset(S)
     tm = H.subset(T)
     for h in range(H.rank):

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from .bitset import bits, mask_of, subset_key
 from .core import (
-    Chain,
     FiniteHypergroup,
     cached,
     closure,
@@ -14,12 +13,7 @@ from .core import (
     is_closed,
     thin_elements,
 )
-from .errors import (
-    InternalConsistencyError,
-    PreconditionError,
-    ProductNotClosedError,
-    RankCapError,
-)
+from .errors import InternalConsistencyError, PreconditionError, RankCapError
 
 
 @dataclass(frozen=True)
@@ -231,41 +225,3 @@ def climb(H: FiniteHypergroup, pairs, bottom: int, top: int, step_ok=None):
             dead.add(f)
 
     yield from walk(bottom)
-
-
-def is_subnormal(H: FiniteHypergroup, E, F) -> Chain | None:
-    """Witnessing chain E = C0 <= ... <= Ck = F with each step normal.
-
-    The first chain climb finds over the lattice's normal_in relation, not
-    necessarily a shortest one; None when no chain exists.
-    """
-    em, fm = _require_closed_pair(H, E, F, "is_subnormal")
-    path = next(climb(H, closed_subsets(H).normal_in, em, fm), None)
-    return Chain(H, path) if path else None
-
-
-def product_closed(H: FiniteHypergroup, C, D) -> int:
-    """The set product C D, verified to be closed.
-
-    Closed whenever one factor normalizes the other, for instance when C is
-    normal in the full set; under that precondition it equals the closure
-    of the union. When the product escapes closedness the error carries the
-    first witnessing pair and escaped element.
-    """
-    cm = H.subset(C)
-    dm = H.subset(D)
-    if not is_closed(H, cm) or not is_closed(H, dm):
-        raise PreconditionError("product_closed requires closed subsets")
-    p = complex_product(H, cm, dm)
-    for a in bits(p):
-        row = H.table[H.star[a]]
-        for b in bits(p):
-            out = row[b] & ~p
-            if out:
-                raise ProductNotClosedError(a, b, next(bits(out)))
-    return p
-
-
-def intersect(C: int, D: int) -> int:
-    """Intersection of two closed subsets; closed subsets are meet-closed."""
-    return C & D

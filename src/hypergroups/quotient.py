@@ -1,4 +1,4 @@
-"""Double cosets, quotient hypergroups, subset lifting and isomorphism."""
+"""Double cosets, quotient hypergroups, section quotients and subset lifting."""
 
 from __future__ import annotations
 
@@ -18,10 +18,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidHypergroupError,
     PreconditionError,
-    RankCapError,
 )
-
-ISO_DEFAULT_RANK_CAP = 8
 
 
 def double_cosets(H: FiniteHypergroup, F) -> tuple[int, ...]:
@@ -123,90 +120,3 @@ def section_quotient(H: FiniteHypergroup, E, G) -> QuotientMap:
         raise PreconditionError("section_quotient requires E inside G")
     sub = sub_hypergroup(H, gm)
     return quotient(sub, restrict_subset(gm, em))
-
-
-def _element_profile(H: FiniteHypergroup, s: int):
-    t = H.table
-    row_sizes = sorted(t[s][q].bit_count() for q in range(H.rank))
-    col_sizes = sorted(t[q][s].bit_count() for q in range(H.rank))
-    return (
-        H.star[s] == s,
-        t[s][s].bit_count(),
-        t[H.star[s]][s].bit_count(),
-        bool(t[s][s] & 1),
-        tuple(row_sizes),
-        tuple(col_sizes),
-    )
-
-
-def isomorphic(A: FiniteHypergroup, B: FiniteHypergroup,
-               rank_cap: int = ISO_DEFAULT_RANK_CAP) -> tuple[int, ...] | None:
-    """Search for a table isomorphism, returned as an image permutation.
-
-    The witness maps 0 to 0, commutes with star, and carries every product
-    set onto the corresponding product set. Backtracking assigns images in
-    index order, pruned by per-element profiles (star fixedness and product
-    size multisets). Exhaustive for ranks up to rank_cap; larger equal
-    ranks are refused rather than answered heuristically.
-    """
-    if A.rank != B.rank:
-        return None
-    n = A.rank
-    if n > rank_cap:
-        raise RankCapError(
-            f"isomorphism search capped at rank {rank_cap}, got {n}")
-    prof_a = [_element_profile(A, s) for s in range(n)]
-    prof_b = [_element_profile(B, s) for s in range(n)]
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-    candidates = [[w for w in range(n) if prof_b[w] == prof_a[v]] for v in range(n)]
-
-    ta, tb = A.table, B.table
-    img = [-1] * n
-    used = [False] * n
-
-    def consistent(k: int) -> bool:
-        fk = img[k]
-        sk = A.star[k]
-        if img[sk] != -1 and img[sk] != B.star[fk]:
-            return False
-        for i in range(k + 1):
-            if img[i] == -1:
-                continue
-            for p, q in ((i, k), (k, i), (k, k)):
-                src = ta[p][q]
-                dst = tb[img[p]][img[q]]
-                if src.bit_count() != dst.bit_count():
-                    return False
-                for x in bits(src):
-                    if img[x] != -1 and not (dst >> img[x]) & 1:
-                        return False
-        return True
-
-    def assign(k: int) -> bool:
-        if k == n:
-            return True
-        for w in candidates[k]:
-            if used[w]:
-                continue
-            img[k] = w
-            used[w] = True
-            if consistent(k) and assign(k + 1):
-                return True
-            img[k] = -1
-            used[w] = False
-        return False
-
-    img[0] = 0
-    used[0] = True
-    if not assign(1):
-        return None
-    # Full verification of the found witness.
-    phi = tuple(img)
-    for a in range(n):
-        if phi[A.star[a]] != B.star[phi[a]]:
-            raise InternalConsistencyError("isomorphism witness fails star check")
-        for b in range(n):
-            if mask_of(phi[x] for x in bits(ta[a][b])) != tb[phi[a]][phi[b]]:
-                raise InternalConsistencyError("isomorphism witness fails product check")
-    return phi

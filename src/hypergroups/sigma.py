@@ -174,8 +174,17 @@ def spans_single_class(n: int, sigma: PrimePartition) -> bool:
     return len(classes) <= 1
 
 
+def _distinct(primes: list[int], chunk: str) -> frozenset[int]:
+    """The primes of one class; a repeat, which the set would drop, is refused."""
+    for i, p in enumerate(primes):
+        if p in primes[:i]:
+            raise PartitionSyntaxError(f"prime {p} repeated in {chunk!r}")
+    return frozenset(primes)
+
+
 def parse_partition(text: str) -> PrimePartition:
-    """Parse "2,3|5|7" style class lists, or the keyword "smallest"."""
+    """Parse "2,3|5|7" style class lists, each prime listed once, or the
+    keyword "smallest"."""
     text = text.strip()
     if text == "smallest":
         return SMALLEST
@@ -187,9 +196,10 @@ def parse_partition(text: str) -> PrimePartition:
         if not chunk:
             raise PartitionSyntaxError("empty class in partition text")
         try:
-            classes.append(frozenset(int(tok) for tok in chunk.split(",")))
+            primes = [int(tok) for tok in chunk.split(",")]
         except ValueError as exc:
             raise PartitionSyntaxError(f"bad prime list {chunk!r}") from exc
+        classes.append(_distinct(primes, chunk))
     return PrimePartition(tuple(classes))
 
 
@@ -213,9 +223,10 @@ def parse_selection(text: str, sigma: PrimePartition) -> PiSelection:
             if not (chunk.startswith("{") and chunk.endswith("}")):
                 raise PartitionSyntaxError(f"bad class literal {chunk!r}")
             try:
-                primes = frozenset(int(tok) for tok in chunk[1:-1].split(","))
+                listed = [int(tok) for tok in chunk[1:-1].split(",")]
             except ValueError as exc:
                 raise PartitionSyntaxError(f"bad class literal {chunk!r}") from exc
+            primes = _distinct(listed, chunk)
             if not primes:
                 raise PartitionSyntaxError("empty class literal")
             for p in primes:

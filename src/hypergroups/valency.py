@@ -5,12 +5,9 @@ normal pairs: closed subsets from the identity subset up to a closed top,
 each step quotient thin (lo is strongly normal in hi). thin_chain takes the
 first whose step orders pass a rule. To the full set it witnesses residual
 thinness, to a closed C its step orders multiply to the valency of C, and
-its rules give hall's sigma-solvable and solvable chains; all_rt_chains
-lists the chains to the full set."""
+its rules give hall's sigma-solvable and solvable chains."""
 
 from __future__ import annotations
-
-from itertools import islice
 
 from .core import (
     Chain,
@@ -104,11 +101,3 @@ def valency_of(H: FiniteHypergroup, C) -> int:
     if ambient % chain.order_product:
         raise InternalConsistencyError("subset valency does not divide the ambient one")
     return chain.order_product
-
-
-def all_rt_chains(H: FiniteHypergroup, limit: int) -> list[Chain]:
-    """Up to limit residually thin chains, in the order climb yields them:
-    depth first, larger extensions before smaller, ties by member list, so
-    the first is rt_chain(H)."""
-    paths = climb(H, closed_subsets(H).strongly_normal_in, 1, H.full)
-    return [Chain(H, path) for path in islice(paths, limit)]

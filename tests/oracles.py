@@ -162,6 +162,22 @@ def naive_normal_pairs(table, star, subsets):
     return normal, strong
 
 
+def naive_subnormal(table, star) -> set[frozenset[int]]:
+    """Closed subsets joined to the full set by a chain of normal steps:
+    backward reachability from the full set over naive_normal_pairs."""
+    subsets = list(naive_closed_subsets(table, star))
+    normal, _ = naive_normal_pairs(table, star, subsets)
+    reached = {subsets.index(frozenset(range(len(table))))}
+    grew = True
+    while grew:
+        grew = False
+        for i, j in normal:
+            if j in reached and i not in reached:
+                reached.add(i)
+                grew = True
+    return {subsets[i] for i in reached}
+
+
 def naive_thin_residue(table, star, F) -> frozenset[int]:
     """O^theta(F): the closure of the union of h* h over h in F."""
     return naive_closure(table, star,

@@ -5,12 +5,12 @@ per criterion with its runtime against the pinned budget.
 """
 
 import time
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 from hypergroups import (
     SMALLEST,
+    Chain,
     ValencyUndefinedError,
-    all_rt_chains,
     cayley_to_hypergroup,
     closed_subsets,
     closure,
@@ -22,7 +22,6 @@ from hypergroups import (
     is_solvable,
     is_strongly_normal,
     is_thin,
-    isomorphic,
     mask_of,
     members,
     parse_selection,
@@ -37,8 +36,10 @@ from hypergroups import (
     verify_hall,
 )
 from hypergroups import fixtures as fx
+from hypergroups.lattice import climb
 
 import instance_checks
+from instance_checks import isomorphic
 from oracles import GroupOracle
 
 K2_TABLE = [[{0}, {1}], [{1}, {0, 1}]]
@@ -124,8 +125,8 @@ def test_criterion_valency_well_defined(corpus):
     for name, h in corpus.items():
         if not is_residually_thin(h):
             continue
-        chains = all_rt_chains(h, limit=100)
-        products = {c.order_product for c in chains}
+        paths = climb(h, closed_subsets(h).strongly_normal_in, 1, h.full)
+        products = {Chain(h, path).order_product for path in islice(paths, 100)}
         if len(products) != 1:
             bad.append(f"{name}: chain products {sorted(products)}")
     _gate("valency independent of the chain", 30.0, t0, bad)

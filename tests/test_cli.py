@@ -175,6 +175,13 @@ def test_hall_bad_pi_syntax(capsys, fixtures_dir):
     assert "not prime" in err or "class" in err
 
 
+def test_verify_repeated_prime_is_input_error(capsys, fixtures_dir):
+    code, out, err = run(capsys, "verify", str(fixtures_dir / "s3.cayley"),
+                         "--sigma", "2,2", "--pi", "0")
+    assert code == 2
+    assert out == "" and "prime 2 repeated" in err
+
+
 def test_hall_large_prime_class(capsys, fixtures_dir):
     s3 = str(fixtures_dir / "s3.cayley")
     code, out, _ = run(capsys, "hall", s3, "--sigma", "99999999999999999989",

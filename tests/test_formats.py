@@ -10,7 +10,6 @@ from hypergroups import (
     cayley_to_hypergroup,
     detect_format,
     is_thin,
-    isomorphic,
     load_any,
     members,
     parse_document,
@@ -23,6 +22,7 @@ from hypergroups import (
 from hypergroups import fixtures as fx
 from hypergroups.cli import main
 
+from instance_checks import isomorphic
 from oracles import naive_associativity_witness, naive_scheme_supports
 
 K2_DOC = """hypergroup k2

@@ -17,14 +17,15 @@ from hypergroups import (
     is_sigma_solvable,
     is_solvable,
     is_strongly_normal,
-    is_subnormal,
     is_thin,
+    mask_of,
     members,
     parse_partition,
     parse_selection,
     pi_radical,
     pi_valenced_violation,
     quotient,
+    section_quotient,
     sigma_solvable_chain,
     solvability_suite,
     spans_single_class,
@@ -37,6 +38,8 @@ from hypergroups import (
 )
 from hypergroups import fixtures as fx
 from hypergroups import hall
+
+from oracles import naive_subnormal, sets_of
 
 
 def _sel(text, sigma=SMALLEST):
@@ -54,7 +57,9 @@ def test_sigma_chain_s3_smallest(corpus):
     assert chain is not None
     assert chain.subsets == (1, _a3(s3), s3.full)
     assert chain.step_orders == (3, 2)
-    for q, order in zip(chain.step_quotients, chain.step_orders):
+    steps = zip(chain.subsets, chain.subsets[1:])
+    for (lo, hi), order in zip(steps, chain.step_orders):
+        q = section_quotient(s3, lo, hi).quotient
         assert is_thin(q) and q.rank == order
         assert spans_single_class(order, SMALLEST)
 
@@ -100,9 +105,20 @@ def test_subnormal_closed_subsets(corpus):
     assert set(subs) == {1, _a3(s3), s3.full}
     # 2-groups: everything subnormal
     assert set(subnormal_closed_subsets(d4)) == set(closed_subsets(d4).subsets)
-    for h in corpus.values():
-        for u in subnormal_closed_subsets(h):
-            assert is_subnormal(h, u, h.full) is not None
+
+
+def test_subnormal_closed_subsets_match_the_oracle(corpus, groups):
+    # Against backward reachability over the naive normal pairs, on every
+    # corpus member and every G//K of the group members, up to rank 8.
+    inputs = [*corpus.values(),
+              *(quotient(g, k).quotient for g in groups.values()
+                for k in closed_subsets(g).subsets)]
+    for h in inputs:
+        if h.rank > 8:
+            continue
+        table, star = sets_of(h)
+        oracle = {mask_of(s) for s in naive_subnormal(table, star)}
+        assert set(subnormal_closed_subsets(h)) == oracle, h.name
 
 
 def test_pi_valenced_thin_fixtures(groups):
@@ -216,6 +232,25 @@ def test_are_conjugate(corpus):
     assert w is not None
     a3 = _a3(s3)
     assert are_conjugate(s3, a3, halls[0]) is None
+
+
+def test_s4_mod_c2_conjugacy_needs_non_thin_witnesses():
+    # S4 over a subgroup of order 2: rank 8, thin elements {0,1,6,7}. With
+    # sigma 3|2 and Pi {2} the hypotheses hold and the Hall subsets are
+    # {0,2,6}, {0,5,6} and {0,1,6,7}. The first two are swapped by the thin
+    # element 1; only non-thin elements join either of them to the third.
+    s4 = fx.sym4()
+    q = quotient(s4, closure(s4, [3])).quotient
+    assert q.rank == 8 and members(thin_elements(q)) == (0, 1, 6, 7)
+    sig = parse_partition("3|2")
+    rep = verify_hall(q, sig, parse_selection("{2}", sig))
+    assert [members(c) for c in rep.hall_subsets] == [
+        (0, 2, 6), (0, 5, 6), (0, 1, 6, 7)]
+    witnesses = [w for _, _, w in rep.conjugacy_witnesses]
+    assert witnesses == [1, 5, 2]
+    assert [bool(thin_elements(q) >> w & 1) for w in witnesses] == [
+        True, False, False]
+    assert rep.hypotheses_hold and rep.conclusions_hold
 
 
 def test_verify_hall_s3(corpus):

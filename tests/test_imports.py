@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, and every
-top-level definition of a package module is used somewhere.
+top-level definition of a package module is used somewhere, by the package
+itself or the benchmark and not only by the tests.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules, over
 every module of src/hypergroups except the package __init__, whose imports
@@ -79,6 +80,46 @@ def test_every_definition_is_used():
             if node.name not in elsewhere and not own[node.name]:
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, f"definitions used nowhere: {', '.join(dead)}"
+
+
+# Public for symmetry with is_normal, though nothing but the tests reads it.
+READ_ONLY_BY_TESTS = {("lattice.py", "is_strongly_normal")}
+
+
+def test_every_definition_is_read_by_the_package_or_the_benchmark():
+    # The library is what the pipeline reads. The roots are what bench/,
+    # the console entry point, fixtures.py (the inputs of the benchmark and
+    # the examples) and each module's top-level statements name; a
+    # definition is read when a root or a read definition names it. Uses in
+    # tests do not count, and the definitions of fixtures.py are exempt.
+    named = set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
+    for path in [*ROOT.glob("bench/*.py"), PACKAGE / "fixtures.py"]:
+        named |= set(_mentions(ast.parse(path.read_text(encoding="utf-8"))))
+    definitions = []
+    for path in MODULES:
+        if path.name == "fixtures.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((path.name, node.name, node))
+            elif isinstance(node, ast.Assign):
+                definitions += [(path.name, target.id, node)
+                                for target in node.targets
+                                if isinstance(target, ast.Name)]
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                named |= set(_mentions(node))
+    unread = list(definitions)
+    grew = True
+    while grew:
+        grew = False
+        for entry in list(unread):
+            if entry[1] in named:
+                unread.remove(entry)
+                named |= set(_mentions(entry[2]))
+                grew = True
+    dead = [f"{module}:{node.lineno} {name}" for module, name, node in unread
+            if (module, name) not in READ_ONLY_BY_TESTS]
+    assert not dead, f"definitions only tests read: {', '.join(dead)}"
 
 
 def test_only_core_names_the_store():

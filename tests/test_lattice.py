@@ -2,24 +2,21 @@ import pytest
 
 from hypergroups import (
     PreconditionError,
-    ProductNotClosedError,
     RankCapError,
     closed_subsets,
     closure,
     complex_product,
-    intersect,
     is_closed,
     is_normal,
     is_strongly_normal,
-    is_subnormal,
     mask_of,
     members,
-    product_closed,
+    subnormal_closed_subsets,
     thin_elements,
 )
 from hypergroups import fixtures as fx
 from hypergroups import lattice
-from hypergroups.lattice import conjugations
+from hypergroups.lattice import climb, conjugations
 
 from oracles import (
     naive_closed_subsets,
@@ -211,16 +208,17 @@ def test_strong_normality_examples(corpus):
 def test_subnormal_examples(corpus):
     s3, d4 = corpus["s3"], corpus["d4"]
     a3 = _a3(s3)
-    trivial_chain = is_subnormal(s3, a3, a3)
-    assert trivial_chain is not None and len(trivial_chain) == 0
+    s3_normal = closed_subsets(s3).normal_in
+    assert next(climb(s3, s3_normal, a3, a3)) == (a3,)
     refl = closure(s3, [fx.involutions(s3)[0]])
-    assert is_subnormal(s3, refl, s3.full) is None
+    assert next(climb(s3, s3_normal, refl, s3.full), None) is None
+    assert refl not in subnormal_closed_subsets(s3)
     # every subgroup of a 2-group is subnormal
     for c in closed_subsets(d4).subsets:
-        chain = is_subnormal(d4, c, d4.full)
+        chain = next(climb(d4, closed_subsets(d4).normal_in, c, d4.full), None)
         assert chain is not None
-        assert chain.subsets[0] == c and chain.subsets[-1] == d4.full
-        for lo, hi in zip(chain.subsets, chain.subsets[1:]):
+        assert chain[0] == c and chain[-1] == d4.full
+        for lo, hi in zip(chain, chain[1:]):
             assert is_normal(d4, lo, hi)
 
 
@@ -228,27 +226,28 @@ def test_product_closed_examples(corpus):
     s3 = corpus["s3"]
     a3 = _a3(s3)
     refl = closure(s3, [fx.involutions(s3)[0]])
-    assert product_closed(s3, 1, refl) == refl
-    assert product_closed(s3, a3, refl) == s3.full
-    assert product_closed(s3, a3, a3) == a3
-    assert product_closed(s3, a3, refl) == closure(s3, members(a3 | refl))
+    for c, d, want in ((1, refl, refl), (a3, refl, s3.full), (a3, a3, a3)):
+        assert complex_product(s3, c, d) == want
+        assert is_closed(s3, want)
+    assert complex_product(s3, a3, refl) == closure(s3, members(a3 | refl))
     t1, t2 = fx.involutions(s3)[:2]
-    with pytest.raises(ProductNotClosedError):
-        product_closed(s3, closure(s3, [t1]), closure(s3, [t2]))
+    assert not is_closed(s3, complex_product(s3, closure(s3, [t1]),
+                                             closure(s3, [t2])))
 
 
 def test_intersect(corpus):
+    # Closed subsets are meet-closed.
     s3 = corpus["s3"]
     a3 = _a3(s3)
     refl = closure(s3, [fx.involutions(s3)[0]])
-    assert intersect(a3, refl) == 1
-    assert intersect(a3, a3) == a3
-    assert intersect(a3, 1) == 1
+    assert a3 & refl == 1
+    assert a3 & a3 == a3
+    assert a3 & 1 == 1
     for h in corpus.values():
         lat = closed_subsets(h)
         for c in lat.subsets:
             for d in lat.subsets:
-                assert is_closed(h, intersect(c, d))
+                assert is_closed(h, c & d)
 
 
 def test_rank_cap_refusal():
@@ -282,8 +281,9 @@ def test_normal_product_preserves_strong_normality(small_corpus):
                   for i, j in lat.strongly_normal_in}
         for e in normals:
             for c, d in strong:
-                ec = product_closed(h, e, c)
-                ed = product_closed(h, e, d)
+                ec = complex_product(h, e, c)
+                ed = complex_product(h, e, d)
+                assert is_closed(h, ec) and is_closed(h, ed)
                 assert is_strongly_normal(h, ec, ed)
 
 
@@ -293,12 +293,12 @@ def test_product_with_normal_preserves_subnormality(small_corpus):
         lat = closed_subsets(h)
         full_i = lat.position(h.full)
         normals = [lat.subsets[i] for i, j in lat.normal_in if j == full_i]
-        for d in lat.subsets:
-            if is_subnormal(h, d, h.full) is None:
-                continue
+        subnormal = subnormal_closed_subsets(h)
+        for d in subnormal:
             for e in normals:
-                ed = product_closed(h, e, d)
-                assert is_subnormal(h, ed, h.full) is not None
+                ed = complex_product(h, e, d)
+                assert is_closed(h, ed)
+                assert ed in subnormal
 
 
 def test_normal_pairs_only_relate_comparable(corpus):

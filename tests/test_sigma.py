@@ -116,6 +116,18 @@ def test_selection_parsing():
     assert parse_selection("{11}", sig).selected == frozenset({frozenset({11})})
 
 
+def test_prime_repeated_inside_one_class_is_refused():
+    # The class is a set, which would drop the repeat silently.
+    with pytest.raises(PartitionSyntaxError, match="prime 2 repeated in '2,2'"):
+        parse_partition("2,2|3")
+    with pytest.raises(PartitionSyntaxError, match="prime 3 repeated"):
+        parse_partition("5|2,3,3")
+    with pytest.raises(PartitionSyntaxError, match="prime 2 repeated"):
+        parse_selection("{2,2}", SMALLEST)
+    assert parse_selection("{2,3}", parse_partition("2,3")).selected == {
+        frozenset({2, 3})}
+
+
 def test_selection_errors():
     sig = parse_partition("2,3|5")
     with pytest.raises(PartitionSyntaxError):

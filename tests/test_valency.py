@@ -1,26 +1,37 @@
+from itertools import islice
+
 import pytest
 
 from hypergroups import (
+    Chain,
     ValencyUndefinedError,
-    all_rt_chains,
     closed_subsets,
     closure,
+    complex_product,
+    is_closed,
     is_residually_thin,
-    is_subnormal,
     is_thin,
     mask_of,
     members,
-    product_closed,
     quotient,
     rt_chain,
+    section_quotient,
     sub_hypergroup,
+    subnormal_closed_subsets,
     thin_elements,
     valency,
     valency_of,
 )
 from hypergroups import fixtures as fx
+from hypergroups.lattice import climb
 
 from oracles import naive_rt_chains, sets_of
+
+
+def _rt_chains(h, limit):
+    """Up to limit residually thin chains, in the order climb yields them."""
+    paths = climb(h, closed_subsets(h).strongly_normal_in, 1, h.full)
+    return [Chain(h, path) for path in islice(paths, limit)]
 
 
 def test_thin_elements_examples(corpus):
@@ -43,8 +54,8 @@ def test_rt_chain_thin_case(corpus):
         assert chain is not None
         assert chain.subsets[0] == 1
         assert chain.subsets[-1] == corpus[name].full
-        for q in chain.step_quotients:
-            assert is_thin(q)
+        for lo, hi in zip(chain.subsets, chain.subsets[1:]):
+            assert is_thin(section_quotient(chain.base, lo, hi).quotient)
 
 
 def test_k2_is_not_residually_thin(corpus):
@@ -104,16 +115,16 @@ def test_all_rt_chains_counts_match_oracle(small_corpus):
         table, star = sets_of(h)
         oracle = {tuple(mask_of(s) for s in chain)
                   for chain in naive_rt_chains(table, star)}
-        got = {c.subsets for c in all_rt_chains(h, limit=1000)}
+        got = {c.subsets for c in _rt_chains(h, limit=1000)}
         assert got == oracle, name
 
 
 def test_all_rt_chains_start_with_rt_chain(corpus):
-    # One chain search: the first chain all_rt_chains lists is the one
-    # rt_chain (and so valency) reads.
+    # One chain search: the first chain climb yields is the one rt_chain
+    # (and so valency) reads.
     for name, h in corpus.items():
         if is_residually_thin(h):
-            assert all_rt_chains(h, 1)[0].subsets == rt_chain(h).subsets, name
+            assert _rt_chains(h, 1)[0].subsets == rt_chain(h).subsets, name
 
 
 def test_s3_chains_frozen():
@@ -122,7 +133,7 @@ def test_s3_chains_frozen():
     # through reflection subgroups cannot complete because the quotient of
     # s3 over a reflection subgroup is not thin.
     s3 = fx.sym3()
-    chains = all_rt_chains(s3, limit=100)
+    chains = _rt_chains(s3, limit=100)
     assert len(chains) == 2
     products = {c.order_product for c in chains}
     assert products == {6}
@@ -134,7 +145,7 @@ def test_chain_order_product_independent(corpus):
     for h in corpus.values():
         if not is_residually_thin(h):
             continue
-        chains = all_rt_chains(h, limit=100)
+        chains = _rt_chains(h, limit=100)
         assert chains
         assert len({c.order_product for c in chains}) == 1
         assert chains[0].order_product == valency(h)
@@ -146,9 +157,7 @@ def test_valency_multiplicative_over_subnormal_quotients(corpus):
     for h in corpus.values():
         if not is_residually_thin(h):
             continue
-        for d in closed_subsets(h).subsets:
-            if is_subnormal(h, d, h.full) is None:
-                continue
+        for d in subnormal_closed_subsets(h):
             q = quotient(h, d).quotient
             assert is_residually_thin(q)
             assert valency(q) * valency_of(h, d) == valency(h)
@@ -166,7 +175,8 @@ def test_valency_multiplicative_over_products(corpus):
             if (ci, full_i) not in lat.normal_in:
                 continue
             for d in lat.subsets:
-                cd = product_closed(h, c, d)
+                cd = complex_product(h, c, d)
+                assert is_closed(h, cd)
                 assert valency_of(h, cd) * valency_of(h, c & d) == \
                     valency_of(h, c) * valency_of(h, d)
 
