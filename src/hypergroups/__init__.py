@@ -36,12 +36,10 @@ from .errors import (
     ValencyUndefinedError,
 )
 from .formats import (
-    HypergroupDocument,
     cayley_to_hypergroup,
     detect_format,
     load_any,
     parse_document,
-    parse_hypergroup,
     scheme_to_hypergroup,
     serialize_hypergroup,
 )

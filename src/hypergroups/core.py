@@ -17,6 +17,7 @@ only, there are no structure constants.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -192,24 +193,24 @@ def _associativity_witness(t, n):
 
 
 class FiniteHypergroup:
-    """Immutable validated hypergroup on elements 0..rank-1, identity 0.
+    """Immutable hypergroup on elements 0..rank-1, identity 0.
 
-    All operations on hypergroups in this package are pure functions;
-    instances may be shared freely between workers. Every derived fact
-    (sub-hypergroups, quotients, the closed-subset lattice, chains, ...) is
-    kept after first computation in the instance's one store, read and
-    written only through cached().
+    Every instance is validated: a table that breaks an axiom raises
+    InvalidHypergroupError with the report. All operations on hypergroups
+    in this package are pure functions; instances may be shared freely
+    between workers. Every derived fact (sub-hypergroups, quotients, the
+    closed-subset lattice, chains, ...) is kept after first computation in
+    the instance's one store, read and written only through cached().
     """
 
     __slots__ = ("rank", "star", "table", "name", "rank_cap", "_cache")
 
     def __init__(self, table, star, *, name: str = "H",
-                 rank_cap: int = DEFAULT_RANK_CAP, check: bool = True):
+                 rank_cap: int = DEFAULT_RANK_CAP):
         t, star_t, n = _normalize_candidate(table, star)
-        if check:
-            report = validate(t, star_t)
-            if not report.valid:
-                raise InvalidHypergroupError(report)
+        report = validate(t, star_t)
+        if not report.valid:
+            raise InvalidHypergroupError(report)
         self.rank = n
         self.star = star_t
         self.table = t
@@ -222,9 +223,12 @@ class FiniteHypergroup:
         return full_mask(self.rank)
 
     def with_rank_cap(self, cap: int) -> "FiniteHypergroup":
-        """Copy sharing the table, with a different lattice refusal threshold."""
-        h = FiniteHypergroup(self.table, self.star, name=self.name,
-                             rank_cap=cap, check=False)
+        """Copy sharing the validated table, with a different lattice refusal
+        threshold and an empty store: a lattice stored under another cap
+        must not skip this cap's refusal."""
+        h = copy(self)
+        h.rank_cap = cap
+        h._cache = {}
         return h
 
     def subset(self, spec) -> int:
@@ -326,16 +330,13 @@ def closure(H: FiniteHypergroup, S) -> int:
 
 
 def is_closed(H: FiniteHypergroup, S) -> bool:
-    """True iff S is nonempty and star(a) . b lies in S for all a, b in S."""
+    """True iff S is nonempty and star(a) . b lies in S for all a, b in S.
+
+    closure(S) is the least closed subset containing S and the identity, so
+    it equals S iff S is closed; the empty set's closure is {0}.
+    """
     m = H.subset(S)
-    if m == 0:
-        return False
-
-    def compute():
-        t, star, elems = H.table, H.star, members(m)
-        return not any(t[star[a]][b] & ~m for a in elems for b in elems)
-
-    return cached(H, ("is_closed", m), compute)
+    return cached(H, ("is_closed", m), lambda: closure(H, m) == m)
 
 
 def sub_hypergroup(H: FiniteHypergroup, F) -> FiniteHypergroup:
@@ -344,7 +345,7 @@ def sub_hypergroup(H: FiniteHypergroup, F) -> FiniteHypergroup:
     Elements keep their relative order, so element i of the result is the
     i-th smallest member of F. Products of members of F stay inside F (a
     closed F is star-closed, so a . b = (a*)* . b lies in F), and every
-    axiom survives restriction, so the result is built unchecked.
+    axiom survives restriction.
     """
     fm = H.subset(F)
     if not is_closed(H, fm):
@@ -363,8 +364,7 @@ def _build_sub(H: FiniteHypergroup, fm: int) -> FiniteHypergroup:
             row.append(mask_of(pos[x] for x in bits(H.table[a][b])))
         table.append(tuple(row))
     name = f"{H.name}[{','.join(map(str, elems))}]"
-    return FiniteHypergroup(tuple(table), star, name=name,
-                            rank_cap=H.rank_cap, check=False)
+    return FiniteHypergroup(tuple(table), star, name=name, rank_cap=H.rank_cap)
 
 
 def restrict_subset(F, S) -> int:

@@ -157,8 +157,7 @@ def _center(H: FiniteHypergroup) -> int:
 
 def _quotient_by(H, f, name):
     q = quotient(H, f).quotient
-    return FiniteHypergroup(q.table, q.star, name=name, rank_cap=q.rank_cap,
-                            check=False)
+    return FiniteHypergroup(q.table, q.star, name=name, rank_cap=q.rank_cap)
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,9 @@ Native format, line by line, UTF-8 with LF endings and '#' comments:
 An optional "identity <i>" line after the rank relabels element i to 0 on
 parse; the serializer never emits it, since identity is always element 0.
 
+Every reader returns the validated FiniteHypergroup; a table that breaks an
+axiom raises InvalidHypergroupError, which carries the validation report.
+
 Cayley format: "group <name>", "order <n>", then n rows of n symbols. The
 first row fixes the symbol order, and the first row and column must both
 match it, making the first symbol the identity.
@@ -24,7 +27,6 @@ is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from .bitset import bits, mask_of, members
@@ -32,32 +34,13 @@ from .core import FiniteHypergroup
 from .errors import InvalidHypergroupError, ParseError
 
 
-@dataclass(frozen=True)
-class HypergroupDocument:
-    """Structurally parsed native document, not yet axiom-checked."""
-
-    name: str
-    rank: int
-    star: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
-    identity: int = 0
-
-    def build(self) -> FiniteHypergroup:
-        """The axiom-checked hypergroup, declared identity relabeled to 0."""
-        star, table = self.star, self.table
-        if self.identity != 0:
-            star, table = _relabel(self.rank, star, table, self.identity)
-        return FiniteHypergroup(table, star, name=self.name)
-
-
 def _relabel(rank, star, table, ident):
-    # Swap 0 and the declared identity index.
+    # Swap 0 and the declared identity index; the swap is its own inverse.
     perm = list(range(rank))
     perm[0], perm[ident] = ident, 0
-    inv = perm
-    new_star = tuple(inv[star[perm[i]]] for i in range(rank))
+    new_star = tuple(perm[star[perm[i]]] for i in range(rank))
     new_table = tuple(
-        tuple(mask_of(inv[x] for x in bits(table[perm[p]][perm[q]]))
+        tuple(mask_of(perm[x] for x in bits(table[perm[p]][perm[q]]))
               for q in range(rank))
         for p in range(rank))
     return new_star, new_table
@@ -119,7 +102,8 @@ def _square(lines, count_line: str, count_what: str, row_what: str,
     return rows, grid
 
 
-def parse_document(text: str) -> HypergroupDocument:
+def parse_document(text: str) -> FiniteHypergroup:
+    """The validated hypergroup of a native document, identity relabeled to 0."""
     lines = list(_meaningful_lines(text))
     name = _header(lines, "hypergroup", "H")
     rank = None
@@ -189,13 +173,9 @@ def parse_document(text: str) -> HypergroupDocument:
         raise ParseError(f"missing table entry {missing}", lines[-1][0])
     table = tuple(tuple(entries[(p, q)] for q in range(rank))
                   for p in range(rank))
-    return HypergroupDocument(name=name, rank=rank, star=star, table=table,
-                              identity=identity)
-
-
-def parse_hypergroup(text: str) -> FiniteHypergroup:
-    """Parse and validate a native document."""
-    return parse_document(text).build()
+    if identity != 0:
+        star, table = _relabel(rank, star, table, identity)
+    return FiniteHypergroup(table, star, name=name)
 
 
 def serialize_hypergroup(H: FiniteHypergroup) -> str:
@@ -337,7 +317,7 @@ def detect_format(text: str) -> str:
 
 def load_as(text: str, fmt: str) -> FiniteHypergroup:
     """Read text as the named format (hypergroup, cayley or scheme), validated."""
-    reader = {"hypergroup": parse_hypergroup, "cayley": cayley_to_hypergroup,
+    reader = {"hypergroup": parse_document, "cayley": cayley_to_hypergroup,
               "scheme": scheme_to_hypergroup}[fmt]
     return reader(text)
 

@@ -156,8 +156,7 @@ def pi_radical(H: FiniteHypergroup, sigma: PrimePartition,
             problems.append(
                 "no unique maximum: subnormal Pi-subset "
                 f"{list(bits(stragglers[0]))} escapes {list(bits(best))}")
-        lat = closed_subsets(H)
-        if (lat.position(best), lat.position(H.full)) not in lat.strongly_normal_in:
+        if (best, H.full) not in closed_subsets(H).strongly_normal_in:
             problems.append("radical is not strongly normal in the full set")
         if not is_thin(quotient(H, best).quotient):
             problems.append("quotient over the radical is not thin")
@@ -366,7 +365,6 @@ def solvability_suite(H: FiniteHypergroup,
     sigma-solvability coincides with the prime-step chain notion.
     """
     lat = closed_subsets(H)
-    top = lat.position(H.full)
     h_solv = is_sigma_solvable(H, sigma)
     solv_lat = lat.subsets if h_solv else ()
 
@@ -384,7 +382,7 @@ def solvability_suite(H: FiniteHypergroup,
         check("quotients_by_normal_inherit_solvability",
               ((f"quotient over normal {list(bits(e))}",
                 is_sigma_solvable(quotient(H, e).quotient, sigma))
-               for i, e in enumerate(solv_lat) if (i, top) in lat.normal_in)),
+               for e in solv_lat if (e, H.full) in lat.normal_in)),
         check("quotients_by_subnormal_inherit_solvability",
               ((f"quotient over subnormal {list(bits(d))}",
                 is_sigma_solvable(quotient(H, d).quotient, sigma))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bitset import bits, mask_of, subset_key
 from .core import (
@@ -21,23 +21,16 @@ class ClosedSubsetLattice:
     """All closed subsets of a hypergroup, with the pairwise relations.
 
     subsets is canonically ordered (by size, then member list) and always
-    contains the identity subset and the full set. normal_in holds index
-    pairs (i, j) with subsets[i] contained and normal in subsets[j], where
+    contains the identity subset and the full set. normal_in holds the mask
+    pairs (E, F) of closed subsets with E contained and normal in F, where
     normality of E in F means E h is inside h E for every h in F;
     strongly_normal_in is the sub-relation with h* E h inside E instead.
-    Both relations include the reflexive pairs, which always hold.
+    Both relations include the reflexive pairs (E, E), which always hold.
     """
 
     subsets: tuple[int, ...]
     normal_in: frozenset[tuple[int, int]]
     strongly_normal_in: frozenset[tuple[int, int]]
-    index: dict[int, int] = field(repr=False)
-
-    def position(self, mask: int) -> int:
-        try:
-            return self.index[mask]
-        except KeyError:
-            raise PreconditionError(f"{mask:#x} is not a closed subset here") from None
 
 
 def _normality(H, E, F) -> tuple[bool, bool]:
@@ -142,10 +135,9 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
                     add_orbit(g)
                     stack.append(g)
     subsets = tuple(sorted(rep_of, key=subset_key))
-    index = {m: i for i, m in enumerate(subsets)}
     orbits: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for m, (rep, p) in rep_of.items():
-        orbits.setdefault(rep, []).append((index[m], p))
+        orbits.setdefault(rep, []).append((m, p))
 
     normal = set()
     strong = set()
@@ -156,15 +148,14 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
             is_normal_pair, is_strong_pair = _normality(H, e, f)
             if not is_normal_pair:
                 continue
-            for k, p in orbit:
-                pair = (k, index[_image(p, f)])
+            for m, p in orbit:
+                pair = (m, _image(p, f))
                 normal.add(pair)
                 if is_strong_pair:
                     strong.add(pair)
     return ClosedSubsetLattice(subsets=subsets,
                                normal_in=frozenset(normal),
-                               strongly_normal_in=frozenset(strong),
-                               index=index)
+                               strongly_normal_in=frozenset(strong))
 
 
 def _require_closed_pair(H, E, F, op):
@@ -198,12 +189,11 @@ def climb(H: FiniteHypergroup, pairs, bottom: int, top: int, step_ok=None):
     chain, take next(climb(...), None).
     """
     def ascents():
-        subsets = closed_subsets(H).subsets
-        up = {m: [] for m in subsets}
-        for i, j in sorted(pairs, key=lambda p: (-subsets[p[1]].bit_count(),
-                                                 subset_key(subsets[p[1]])[1])):
-            if i != j:
-                up[subsets[i]].append(subsets[j])
+        up = {m: [] for m in closed_subsets(H).subsets}
+        for e, f in sorted(pairs, key=lambda p: (-p[1].bit_count(),
+                                                 subset_key(p[1])[1])):
+            if e != f:
+                up[e].append(f)
         return up
 
     up = cached(H, ("ascents", pairs), ascents)

@@ -86,8 +86,7 @@ def _build_quotient(H: FiniteHypergroup, fm: int) -> QuotientMap:
     qstar = tuple(proj[H.star[r]] for r in reps)
     name = f"{H.name}//[{','.join(map(str, members(fm)))}]"
     try:
-        q = FiniteHypergroup(tuple(table), qstar, name=name,
-                             rank_cap=H.rank_cap, check=True)
+        q = FiniteHypergroup(tuple(table), qstar, name=name, rank_cap=H.rank_cap)
     except InvalidHypergroupError as exc:
         raise InternalConsistencyError(
             f"induced quotient table failed validation: {exc}") from exc

@@ -172,9 +172,8 @@ def normal_product_valency_identity(h):
     if not is_residually_thin(h):
         return out
     lat = closed_subsets(h)
-    full_i = lat.position(h.full)
-    for ci, c in enumerate(lat.subsets):
-        if (ci, full_i) not in lat.normal_in:
+    for c in lat.subsets:
+        if (c, h.full) not in lat.normal_in:
             continue
         for d in lat.subsets:
             cd = complex_product(h, c, d)
@@ -209,9 +208,8 @@ def closed_subset_bijection(h):
 def quotient_tower_isomorphism(h):
     out = []
     lat = closed_subsets(h)
-    full_i = lat.position(h.full)
-    for ei, e in enumerate(lat.subsets):
-        if (ei, full_i) not in lat.normal_in:
+    for e in lat.subsets:
+        if (e, h.full) not in lat.normal_in:
             continue
         he = quotient(h, e).quotient
         for d in lat.subsets:
@@ -269,8 +267,7 @@ def thin_adjoint_squares(h):
 def product_with_normal_is_subnormal(h):
     out = []
     lat = closed_subsets(h)
-    full_i = lat.position(h.full)
-    normals = [lat.subsets[i] for i, j in lat.normal_in if j == full_i]
+    normals = [e for e in lat.subsets if (e, h.full) in lat.normal_in]
     subnormal = subnormal_closed_subsets(h)
     for d in subnormal:
         for e in normals:
@@ -285,9 +282,7 @@ def product_with_normal_is_subnormal(h):
 def meet_preserves_strong_normality(h):
     out = []
     lat = closed_subsets(h)
-    strong = {(lat.subsets[i], lat.subsets[j])
-              for i, j in lat.strongly_normal_in}
-    for c, d in strong:
+    for c, d in lat.strongly_normal_in:
         for f in lat.subsets:
             if not is_strongly_normal(h, c & f, d & f):
                 out.append(f"{h.name}: meet with {list(members(f))} breaks "
@@ -298,12 +293,9 @@ def meet_preserves_strong_normality(h):
 def normal_product_preserves_strong_normality(h):
     out = []
     lat = closed_subsets(h)
-    full_i = lat.position(h.full)
-    normals = [lat.subsets[i] for i, j in lat.normal_in if j == full_i]
-    strong = {(lat.subsets[i], lat.subsets[j])
-              for i, j in lat.strongly_normal_in}
+    normals = [e for e in lat.subsets if (e, h.full) in lat.normal_in]
     for e in normals:
-        for c, d in strong:
+        for c, d in lat.strongly_normal_in:
             ec = complex_product(h, e, c)
             ed = complex_product(h, e, d)
             if not is_closed(h, ec) or not is_closed(h, ed):

@@ -144,38 +144,37 @@ def naive_product(table, P, Q) -> set[int]:
 
 
 def naive_normal_pairs(table, star, subsets):
-    """(normal, strongly normal) index pairs (i, j) with subsets[i] inside
-    subsets[j] and, for every h in subsets[j], E h inside h E, respectively
-    h* E h inside E, where E = subsets[i]; subsets are python sets."""
+    """(normal, strongly normal) pairs (E, F) of frozensets, over the given
+    python sets, with E inside F and, for every h in F, E h inside h E,
+    respectively h* E h inside E."""
     normal = set()
     strong = set()
-    for i, e in enumerate(subsets):
-        for j, f in enumerate(subsets):
+    for e in map(frozenset, subsets):
+        for f in map(frozenset, subsets):
             if not e <= f:
                 continue
             if all(naive_product(table, e, {h}) <= naive_product(table, {h}, e)
                    for h in f):
-                normal.add((i, j))
+                normal.add((e, f))
             if all(naive_product(table, {star[h]}, naive_product(table, e, {h})) <= e
                    for h in f):
-                strong.add((i, j))
+                strong.add((e, f))
     return normal, strong
 
 
 def naive_subnormal(table, star) -> set[frozenset[int]]:
     """Closed subsets joined to the full set by a chain of normal steps:
     backward reachability from the full set over naive_normal_pairs."""
-    subsets = list(naive_closed_subsets(table, star))
-    normal, _ = naive_normal_pairs(table, star, subsets)
-    reached = {subsets.index(frozenset(range(len(table))))}
+    normal, _ = naive_normal_pairs(table, star, naive_closed_subsets(table, star))
+    reached = {frozenset(range(len(table)))}
     grew = True
     while grew:
         grew = False
-        for i, j in normal:
-            if j in reached and i not in reached:
-                reached.add(i)
+        for e, f in normal:
+            if f in reached and e not in reached:
+                reached.add(e)
                 grew = True
-    return {subsets[i] for i in reached}
+    return reached
 
 
 def naive_thin_residue(table, star, F) -> frozenset[int]:

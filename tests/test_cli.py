@@ -269,7 +269,7 @@ def test_readers_are_looked_up_at_call_time(capsys, fixtures_dir, monkeypatch):
     # A tracer that rebinds a reader in hypergroups.formats must see every
     # document that load_any, validate and convert read.
     calls = []
-    for name in ("parse_hypergroup", "cayley_to_hypergroup", "scheme_to_hypergroup"):
+    for name in ("parse_document", "cayley_to_hypergroup", "scheme_to_hypergroup"):
         real = getattr(formats, name)
 
         def counting(text, name=name, real=real):
@@ -279,12 +279,12 @@ def test_readers_are_looked_up_at_call_time(capsys, fixtures_dir, monkeypatch):
         monkeypatch.setattr(formats, name, counting)
     for file in ("k2.hg", "z2.cayley", "k3.scheme"):
         formats.load_any((fixtures_dir / file).read_text())
-    assert calls == ["parse_hypergroup", "cayley_to_hypergroup", "scheme_to_hypergroup"]
+    assert calls == ["parse_document", "cayley_to_hypergroup", "scheme_to_hypergroup"]
     calls.clear()
     for file in ("k2.hg", "z2.cayley", "k3.scheme"):
         code, _, _ = run(capsys, "validate", str(fixtures_dir / file))
         assert code == 0
-    assert calls == ["parse_hypergroup", "cayley_to_hypergroup", "scheme_to_hypergroup"]
+    assert calls == ["parse_document", "cayley_to_hypergroup", "scheme_to_hypergroup"]
     calls.clear()
     for file, fmt in (("z2.cayley", "cayley"), ("k3.scheme", "scheme")):
         code, _, _ = run(capsys, "convert", str(fixtures_dir / file), "--from", fmt)

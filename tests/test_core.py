@@ -8,7 +8,9 @@ from hypergroups import (
     FiniteHypergroup,
     InvalidHypergroupError,
     PreconditionError,
+    RankCapError,
     StructuralError,
+    closed_subsets,
     closure,
     complex_product,
     is_closed,
@@ -106,6 +108,31 @@ def test_star_violation_reported():
 def test_invalid_table_raises_on_construction():
     with pytest.raises(InvalidHypergroupError):
         FiniteHypergroup([[{0}, {1}], [{1}, {1}]], IDENT_STAR)
+
+
+def test_rank_cap_copy_shares_the_table_and_not_the_store(monkeypatch):
+    # with_rank_cap copies a validated instance without validating again,
+    # and the copy starts with an empty store: the lattice stored under the
+    # larger cap must not let a smaller cap skip its refusal.
+    a5 = fx.alt5()
+    calls = []
+    real = core.validate
+
+    def counting(table, star):
+        calls.append(len(table))
+        return real(table, star)
+
+    monkeypatch.setattr(core, "validate", counting)
+    wide = a5.with_rank_cap(60)
+    assert wide.table is a5.table and wide.star is a5.star
+    assert len(closed_subsets(wide).subsets) == 59
+    narrow = wide.with_rank_cap(24)
+    assert narrow.table is a5.table and narrow.star is a5.star
+    assert calls == []
+    with pytest.raises(RankCapError):
+        closed_subsets(narrow)
+    with pytest.raises(RankCapError):
+        closed_subsets(a5)
 
 
 def test_complex_product_examples(corpus):

@@ -13,7 +13,6 @@ from hypergroups import (
     load_any,
     members,
     parse_document,
-    parse_hypergroup,
     scheme_to_hypergroup,
     serialize_hypergroup,
     validate,
@@ -46,7 +45,7 @@ order 5
 
 
 def test_parse_k2_document():
-    h = parse_hypergroup(K2_DOC)
+    h = parse_document(K2_DOC)
     assert h.rank == 2
     assert h.name == "k2"
     assert h.table == ((1, 2), (2, 3))
@@ -55,28 +54,28 @@ def test_parse_k2_document():
 def test_round_trip_on_corpus(corpus):
     for h in corpus.values():
         text = serialize_hypergroup(h)
-        back = parse_hypergroup(text)
+        back = parse_document(text)
         assert back.table == h.table
         assert back.star == h.star
         assert serialize_hypergroup(back) == text
 
 
 def test_rank_one_document():
-    h = parse_hypergroup("hypergroup dot\nrank 1\nstar 0\n0 0 : 0\n")
+    h = parse_document("hypergroup dot\nrank 1\nstar 0\n0 0 : 0\n")
     assert h.rank == 1
 
 
 def test_comments_and_blank_lines():
     doc = "# a comment\nhypergroup k2 # trailing\n\nrank 2\nstar 0 1\n" \
           "0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0 1\n"
-    assert parse_hypergroup(doc).table == ((1, 2), (2, 3))
+    assert parse_document(doc).table == ((1, 2), (2, 3))
 
 
 def test_identity_relabeling():
     # same structure as c2 but with identity declared at index 1
     doc = ("hypergroup swapped\nrank 2\nidentity 1\nstar 0 1\n"
            "0 0 : 1\n0 1 : 0\n1 0 : 0\n1 1 : 1\n")
-    h = parse_hypergroup(doc)
+    h = parse_document(doc)
     assert h.table == ((1, 2), (2, 1 << 0)) or h.table == ((1, 2), (2, 1))
     assert h.table[0][0] == 1
 
@@ -108,7 +107,7 @@ def test_identity_line_on_every_corpus_member(corpus, tmp_path, capsys):
     for name, h in corpus.items():
         for i in range(h.rank):
             text = _swapped_document(name, h.table, h.star, i)
-            got = parse_hypergroup(text)
+            got = parse_document(text)
             assert (got.table, got.star) == (h.table, h.star), (name, i)
             assert _validate_file(tmp_path, capsys, text) == (0, "valid: yes\n")
 
@@ -153,22 +152,22 @@ def test_missing_entry_of_a_large_rank_is_found_in_small_memory():
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
-        parse_hypergroup("hypergroup x\nrank 2\nstar 0 1\n0 0 : 0\n0 1 :\n"
-                         "1 0 : 1\n1 1 : 0 1\n")
+        parse_document("hypergroup x\nrank 2\nstar 0 1\n0 0 : 0\n0 1 :\n"
+                       "1 0 : 1\n1 1 : 0 1\n")
     assert err.value.line == 5
     with pytest.raises(ParseError):
-        parse_hypergroup("rank 2\nstar 0 1\n")
+        parse_document("rank 2\nstar 0 1\n")
     with pytest.raises(ParseError) as err:
-        parse_hypergroup("hypergroup x\nrank 2\nstar 0 1\n0 0 : 0\n")
+        parse_document("hypergroup x\nrank 2\nstar 0 1\n0 0 : 0\n")
     assert "missing table entry" in str(err.value)
     with pytest.raises(ParseError):
-        parse_hypergroup("hypergroup x\nrank 2\nstar 0\n")
+        parse_document("hypergroup x\nrank 2\nstar 0\n")
     with pytest.raises(ParseError) as err:
-        parse_hypergroup("hypergroup x\nrank 2\nidentity 1\nstar 0 5\n"
+        parse_document("hypergroup x\nrank 2\nidentity 1\nstar 0 5\n"
                          "0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0\n")
     assert err.value.line == 4 and "star index out of range" in str(err.value)
     with pytest.raises(ParseError) as err:
-        parse_hypergroup("hypergroup x\nrank 2\nidentity 2\nstar 0 1\n"
+        parse_document("hypergroup x\nrank 2\nidentity 2\nstar 0 1\n"
                          "0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0\n")
     assert err.value.line == 3 and "identity index out of range" in str(err.value)
 
@@ -176,10 +175,7 @@ def test_parse_errors_carry_line_numbers():
 def test_validation_failure_forwarded():
     bad = K2_DOC.replace("1 1 : 0 1", "1 1 : 1")
     with pytest.raises(InvalidHypergroupError):
-        parse_hypergroup(bad)
-    # structural parse still works
-    doc = parse_document(bad)
-    assert doc.rank == 2
+        parse_document(bad)
 
 
 def test_cayley_ingestion_examples(corpus):

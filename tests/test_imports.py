@@ -133,7 +133,7 @@ def test_only_core_names_the_store():
 def test_only_formats_dispatches_on_format():
     # Every document is read through formats.load_any or load_as: no other
     # module parses a native document or picks a reader itself.
-    names = ("parse_document", "detect_format", "HypergroupDocument")
+    names = ("parse_document", "detect_format")
     named = []
     for path in MODULES:
         if path.name != "formats.py":

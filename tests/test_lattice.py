@@ -109,8 +109,9 @@ def test_relations_match_the_naive_pairs(corpus, group_quotients):
         lat = closed_subsets(h)
         normal, strong = naive_normal_pairs(
             table, star, [set(members(m)) for m in lat.subsets])
-        assert lat.normal_in == normal
-        assert lat.strongly_normal_in == strong
+        assert lat.normal_in == {(mask_of(e), mask_of(f)) for e, f in normal}
+        assert lat.strongly_normal_in == {(mask_of(e), mask_of(f))
+                                          for e, f in strong}
 
 
 def test_public_predicates_agree_with_the_lattice(corpus, group_quotients):
@@ -118,12 +119,12 @@ def test_public_predicates_agree_with_the_lattice(corpus, group_quotients):
     # lattice through orbit carrying; both must give the same pairs.
     for h in [*corpus.values(), *group_quotients.values()]:
         lat = closed_subsets(h)
-        for i, e in enumerate(lat.subsets):
-            for j, f in enumerate(lat.subsets):
+        for e in lat.subsets:
+            for f in lat.subsets:
                 if not e & ~f:
-                    assert is_normal(h, e, f) == ((i, j) in lat.normal_in)
+                    assert is_normal(h, e, f) == ((e, f) in lat.normal_in)
                     assert (is_strongly_normal(h, e, f)
-                            == ((i, j) in lat.strongly_normal_in))
+                            == ((e, f) in lat.strongly_normal_in))
 
 
 def test_a5_relations_share_each_product(monkeypatch):
@@ -170,9 +171,9 @@ def test_strongly_normal_subsets_contain_the_thin_residue(corpus):
     for h in corpus.values():
         table, star = sets_of(h)
         lat = closed_subsets(h)
-        for i, j in lat.strongly_normal_in:
-            residue = naive_thin_residue(table, star, members(lat.subsets[j]))
-            assert residue <= set(members(lat.subsets[i]))
+        for e, f in lat.strongly_normal_in:
+            residue = naive_thin_residue(table, star, members(f))
+            assert residue <= set(members(e))
     s3 = corpus["s3"]
     table, star = sets_of(s3)
     refl = closure(s3, [fx.involutions(s3)[0]])
@@ -263,9 +264,7 @@ def test_intersection_preserves_strong_normality(small_corpus):
     # the relation: C&F strongly normal in D&F. Exhaustive over triples.
     for h in small_corpus.values():
         lat = closed_subsets(h)
-        strong = {(lat.subsets[i], lat.subsets[j])
-                  for i, j in lat.strongly_normal_in}
-        for c, d in strong:
+        for c, d in lat.strongly_normal_in:
             for f in lat.subsets:
                 assert is_strongly_normal(h, c & f, d & f)
 
@@ -275,12 +274,9 @@ def test_normal_product_preserves_strong_normality(small_corpus):
     # normal in ED.
     for h in small_corpus.values():
         lat = closed_subsets(h)
-        full_i = lat.position(h.full)
-        normals = [lat.subsets[i] for i, j in lat.normal_in if j == full_i]
-        strong = {(lat.subsets[i], lat.subsets[j])
-                  for i, j in lat.strongly_normal_in}
+        normals = [e for e in lat.subsets if (e, h.full) in lat.normal_in]
         for e in normals:
-            for c, d in strong:
+            for c, d in lat.strongly_normal_in:
                 ec = complex_product(h, e, c)
                 ed = complex_product(h, e, d)
                 assert is_closed(h, ec) and is_closed(h, ed)
@@ -291,8 +287,7 @@ def test_product_with_normal_preserves_subnormality(small_corpus):
     # D subnormal and E normal in the full set force ED subnormal.
     for h in small_corpus.values():
         lat = closed_subsets(h)
-        full_i = lat.position(h.full)
-        normals = [lat.subsets[i] for i, j in lat.normal_in if j == full_i]
+        normals = [e for e in lat.subsets if (e, h.full) in lat.normal_in]
         subnormal = subnormal_closed_subsets(h)
         for d in subnormal:
             for e in normals:
@@ -302,7 +297,12 @@ def test_product_with_normal_preserves_subnormality(small_corpus):
 
 
 def test_normal_pairs_only_relate_comparable(corpus):
+    # Both relations hold mask pairs (E, F) of lattice members with E inside
+    # F, and every member is related to itself.
     for h in corpus.values():
         lat = closed_subsets(h)
-        for i, j in lat.normal_in:
-            assert lat.subsets[i] & ~lat.subsets[j] == 0
+        for pairs in (lat.normal_in, lat.strongly_normal_in):
+            for e, f in pairs:
+                assert e in lat.subsets and f in lat.subsets
+                assert e & ~f == 0
+            assert {(m, m) for m in lat.subsets} <= pairs

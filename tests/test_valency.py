@@ -170,9 +170,8 @@ def test_valency_multiplicative_over_products(corpus):
         if not is_residually_thin(h) or h.rank > 8:
             continue
         lat = closed_subsets(h)
-        full_i = lat.position(h.full)
-        for ci, c in enumerate(lat.subsets):
-            if (ci, full_i) not in lat.normal_in:
+        for c in lat.subsets:
+            if (c, h.full) not in lat.normal_in:
                 continue
             for d in lat.subsets:
                 cd = complex_product(h, c, d)
