@@ -10,6 +10,7 @@ report is a JSON object with stable, sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -311,9 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call of main: a build
+    costs about as much as a small job, and building at import would add
+    it to every start-up that never parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:

@@ -20,7 +20,8 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from itertools import chain
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from .bitset import bits, full_mask, mask_of, members
@@ -165,6 +166,70 @@ class _Unions(dict):
 
 
 def _associativity_witness(t, n):
+    """First (p, q, r) in scan order with (pq)r != p(qr), or None.
+
+    A thin table, every entry a singleton, is first checked by Light's
+    test (_thin_associative); the row scan runs only for tables that are
+    not thin or that fail it, so the witness is always the scan's first.
+    """
+    if _thin_associative(t, n):
+        return None
+    return _row_scan_witness(t, n)
+
+
+def _thin_associative(t, n):
+    """True iff every entry of t is a singleton and H1 holds, by Light's
+    associativity test.
+
+    A thin t is a magma on 0..n-1. Let A be the set of a with (xy)a =
+    x(ya) for all x, y. A is closed under products: for a, b in A, (xy)(ab)
+    = ((xy)a)b = (x(ya))b = x((ya)b) = x(y(ab)), each step an instance of a
+    in A or of b in A. So if A contains a set G whose products reach every
+    element, A is everything and H1 holds. G is read from the table, not
+    assumed: the least element not yet reached joins G until the products
+    ((g1 g2) g3)... of members of G reach all n, so 0 is checked like any
+    other member and H2 is not relied on. Each member of G costs two lookups
+    per pair (x, y), where the scan compares a whole row per pair. The
+    argument needs ab to be one element; it does not carry over to tables
+    that are not thin. See A. H. Clifford & G. B. Preston, The
+    Algebraic Theory of Semigroups I, 1961.
+    """
+    index = {1 << i: i for i in range(n)}
+    e = []  # e[x][y] = xy as an element
+    for row in t:
+        e.append(tuple(map(index.get, row)))
+        if None in e[-1]:
+            return False
+    if n == 1:  # t is [[{0}]]; itemgetter below needs two indices
+        return True
+    gens, seen = [], []
+    reached = bytearray(n)
+    for g in range(n):
+        if reached[g]:
+            continue
+        work = [(a, g) for a in seen]
+        gens.append(g)
+        reached[g] = 1
+        seen.append(g)
+        work += [(g, h) for h in gens]
+        while work:
+            a, h = work.pop()
+            b = e[a][h]
+            if not reached[b]:
+                reached[b] = 1
+                seen.append(b)
+                work += [(b, k) for k in gens]
+    flat = tuple(chain.from_iterable(e))  # flat[x n + y] = xy
+    for a in gens:
+        col = tuple(row[a] for row in e)  # col[z] = za
+        # (xy)a against x(ya), row by row over x
+        if (tuple(map(col.__getitem__, flat))
+                != tuple(chain.from_iterable(map(itemgetter(*col), e)))):
+            return False
+    return True
+
+
+def _row_scan_witness(t, n):
     """First (p, q, r) in scan order with (pq)r != p(qr), or None.
 
     Compares whole rows over r. The row of (pq)r is the union of the rows

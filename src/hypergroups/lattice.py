@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits, mask_of, subset_key
+from .bitset import bits, members, subset_key
 from .core import (
     FiniteHypergroup,
     cached,
@@ -89,67 +89,128 @@ def conjugations(H: FiniteHypergroup) -> dict[int, tuple[int, ...]]:
     Read from the table; each product the proof in closed_subsets says is a
     singleton is checked to be one.
     """
-    def element(m):
-        if m.bit_count() != 1:
-            raise InternalConsistencyError(
-                "conjugation by a thin element is not a permutation")
-        return m.bit_length() - 1
-
     t = H.table
-    return {h: tuple(element(t[element(hx)][h]) for hx in t[H.star[h]])
-            for h in bits(thin_elements(H))}
+    index = {1 << i: i for i in range(H.rank)}
+    try:
+        return {h: tuple(index[t[index[hx]][h]] for hx in t[H.star[h]])
+                for h in bits(thin_elements(H))}
+    except KeyError:
+        raise InternalConsistencyError(
+            "conjugation by a thin element is not a permutation") from None
 
 
-def _image(perm: tuple[int, ...], mask: int) -> int:
-    return mask_of(map(perm.__getitem__, bits(mask)))
+def _image(auto: tuple[int, ...], elems) -> int:
+    """Mask of the images of elems under auto, held as the single-bit
+    mask of each element's image; the bits are distinct, so their sum is
+    their union."""
+    return sum(map(auto.__getitem__, elems))
+
+
+def _fixes(auto: tuple[int, ...], gens, mask: int) -> bool:
+    """Whether auto maps the closed subset mask, generated by the elements
+    gens, onto itself: the image is the closure of the image of gens and
+    has as many members, so it is mask iff that image lies in mask."""
+    return all(mask & auto[x] for x in gens)
 
 
 def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
+    """The lattice of closed_subsets, with two thin shortcuts.
+
+    Extension by stabilizer orbits: a representative F is extended by one
+    cyclic closure c per orbit of its stabilizer {phi : phi(F) = F} among
+    the thin conjugations. If phi(F) = F, then closure(F u phi(c)) =
+    phi(closure(F u c)), which lies in the orbit that closure(F u c) does,
+    so the other members of c's orbit reach no new orbit. The stabilizer
+    is read off F's generating mask (_fixes), and phi(c) is the cyclic
+    closure of phi(x) for c's representative x. See A. Hulpke, Computing
+    subgroups invariant under a set of automorphisms, J. Symb. Comput. 27,
+    1999.
+
+    Normality from thin generators: when every member of F is thin, F is
+    the set of products of its generating mask and their stars (closure),
+    and E is normal in F iff it is strongly normal in F, iff phi_g(E) = E
+    for each generator g, where phi_g(x) = g* x g. For thin h the map x ->
+    hx is injective, so E h and h E both have |E| members, and E h inside
+    h E means E h = h E, which holds iff h* E h = E (multiply by h* on the
+    left, or by h, using h* h = h h* = {0} and H1). h* E h has |E| members
+    too, so h* E h inside E also means h* E h = E. Since phi_hk =
+    phi_k . phi_h and phi_h* is the inverse of phi_h, the h that fix E are
+    closed under products and star, so fixing E for each generator fixes it
+    for all of F. Every other F goes through _normality.
+    """
     if H.rank > H.rank_cap:
         raise RankCapError(
             f"rank {H.rank} exceeds the lattice cap {H.rank_cap}; "
             "raise the cap explicitly to proceed")
+    conj = {h: tuple(1 << y for y in perm) for h, perm in conjugations(H).items()}
     # The distinct automorphisms, the identity (h = 0) first.
-    perms = tuple(dict.fromkeys(conjugations(H).values()))
+    autos = tuple(dict.fromkeys(conj.values()))
     rep_of: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def add_orbit(g):
-        # Each member of g's orbit -> (g, a permutation carrying g onto it).
-        for p in perms:
-            rep_of.setdefault(_image(p, g), (g, p))
+        # Each member of g's orbit -> (g, an automorphism carrying g onto it).
+        elems = members(g)
+        for a in autos:
+            rep_of.setdefault(_image(a, elems), (g, a))
 
+    # Element bit -> its cyclic closure, closed once per orbit of elements,
+    # as phi(closure(x)) = closure(phi(x)); then each distinct cyclic
+    # closure -> its least generator.
+    cyclic_of: dict[int, int] = {}
+    for x in range(H.rank):
+        if 1 << x not in cyclic_of:
+            elems = members(closure(H, 1 << x))
+            for a in autos:
+                cyclic_of[a[x]] = _image(a, elems)
     cyclic: dict[int, int] = {}
     for x in range(1, H.rank):
-        cyclic.setdefault(closure(H, 1 << x), x)
+        cyclic.setdefault(cyclic_of[1 << x], x)
     gens = {1: 0}  # representative -> a generating mask; {0} needs none
     add_orbit(1)
     stack = [1]
     while stack:
         f = stack.pop()
+        f_gens = members(gens[f])
+        stabilizer = [a for a in autos if _fixes(a, f_gens, f)]
+        covered = set()
         for c, x in cyclic.items():
-            if c & ~f:
-                g_gens = gens[f] | 1 << x
-                g = closure(H, g_gens)
-                if g not in rep_of:
-                    gens[g] = g_gens
-                    add_orbit(g)
-                    stack.append(g)
+            if c in covered or not c & ~f:
+                continue
+            covered.update(cyclic_of[a[x]] for a in stabilizer)
+            g_gens = gens[f] | 1 << x
+            g = closure(H, g_gens)
+            if g not in rep_of:
+                gens[g] = g_gens
+                add_orbit(g)
+                stack.append(g)
     subsets = tuple(sorted(rep_of, key=subset_key))
     orbits: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for m, (rep, p) in rep_of.items():
-        orbits.setdefault(rep, []).append((m, p))
+    for m, (rep, a) in rep_of.items():
+        orbits.setdefault(rep, []).append((m, a))
 
+    thin = thin_elements(H)
+    rep_gens = {e: members(g) for e, g in gens.items()}
     normal = set()
     strong = set()
-    for e, orbit in orbits.items():
-        for f in subsets:
+    for f in subsets:
+        rep, a = rep_of[f]
+        elems = members(f)
+        # When F is thin: the conjugations by its representative's
+        # generators, carried onto F.
+        f_autos = None if f & ~thin else [
+            conj[g] for g in bits(_image(a, rep_gens[rep]))]
+        for e, orbit in orbits.items():
             if e & ~f:
                 continue
-            is_normal_pair, is_strong_pair = _normality(H, e, f)
+            if f_autos is None:
+                is_normal_pair, is_strong_pair = _normality(H, e, f)
+            else:
+                is_normal_pair = is_strong_pair = all(
+                    _fixes(g, rep_gens[e], e) for g in f_autos)
             if not is_normal_pair:
                 continue
-            for m, p in orbit:
-                pair = (m, _image(p, f))
+            for m, b in orbit:
+                pair = (m, _image(b, elems))
                 normal.add(pair)
                 if is_strong_pair:
                     strong.add(pair)

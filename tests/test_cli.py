@@ -298,3 +298,46 @@ def test_exit_codes_on_corpus_files(capsys, fixtures_dir):
                  "a4.cayley", "s4.cayley", "k3.scheme", "z3_color.scheme"):
         code, _, _ = run(capsys, "validate", str(fixtures_dir / name))
         assert code == 0, name
+
+
+def test_main_builds_one_parser_per_process(capsys, fixtures_dir, monkeypatch):
+    # The parser is built on the first call of main and then reused; a
+    # usage error (exit 2) leaves it able to parse the next argv.
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    k2 = str(fixtures_dir / "k2.hg")
+    assert run(capsys, "validate", k2)[0] == 0
+    assert run(capsys, "analyze", k2)[0] == 0
+    assert len(built) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--no-such-flag", k2])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "analyze", "--machine", k2)
+    assert code == 0
+    assert json.loads(out)["rank"] == 2
+    assert len(built) == 1
+
+
+@pytest.mark.slow
+def test_analyze_s6(capsys, tmp_path):
+    # S6 (order 720) has 1 455 subgroups, and its 7 750 normal pairs are
+    # all strongly normal; the output is the one the product kernel gave.
+    table = fx.group_table(((1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)))
+    path = tmp_path / "s6.cayley"
+    path.write_text(fx.cayley_text(table, "s6"))
+    code, out, _ = run(capsys, "analyze", "--machine", "--rank-cap", "720", str(path))
+    assert code == 0
+    assert out == json.dumps({
+        "closed_subsets": 1455, "command": "analyze", "is_residually_thin": True,
+        "is_thin": True, "normal_pairs": 7750, "rank": 720,
+        "strongly_normal_pairs": 7750, "thin_count": 720,
+        "thin_elements": list(range(720)), "valency": 720,
+    }, sort_keys=True, indent=2) + "\n"

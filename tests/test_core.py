@@ -18,6 +18,7 @@ from hypergroups import (
     members,
     star_set,
     sub_hypergroup,
+    thin_elements,
     validate,
 )
 from hypergroups import core
@@ -302,14 +303,35 @@ def _mutated_tables(rng, h, count):
         yield table, star
 
 
+def _swapped_rows(rng, h, count):
+    """Copies of thin h's table with up to two pairs of entries of one row
+    swapped each; the copies without a swap stay thin hypergroups."""
+    n = h.rank
+    for _ in range(count):
+        table = [list(row) for row in h.table]
+        for _ in range(rng.randrange(3)):
+            p = rng.randrange(n)
+            q, r = rng.sample(range(n), 2)
+            table[p][q], table[p][r] = table[p][r], table[p][q]
+        yield table, list(h.star)
+
+
 def test_validate_matches_triple_scan_on_mutated_tables(corpus, monkeypatch):
-    # The row-at-a-time associativity check must give the same report,
-    # witnesses included, as the one-triple-at-a-time scan.
+    # The row-at-a-time associativity check, and Light's test before it on
+    # thin tables, must give the same report, witnesses included, as the
+    # one-triple-at-a-time scan.
     rng = random.Random(2409_07778)
     cases = []
     for h in corpus.values():
         if h.rank > 1:
             cases.extend(_mutated_tables(rng, h, 60))
+    thin = [h for h in [*corpus.values(), fx.alt5()]
+            if h.rank > 1 and thin_elements(h) == h.full]
+    assert len(thin) >= 8
+    thin_cases = []
+    for h in thin:
+        thin_cases.extend(_swapped_rows(rng, h, 4 if h.rank > 24 else 30))
+    cases += thin_cases
     got = [validate(t, s) for t, s in cases]
     monkeypatch.setattr(core, "_associativity_witness", naive_associativity_witness)
     want = [validate(t, s) for t, s in cases]
@@ -317,4 +339,16 @@ def test_validate_matches_triple_scan_on_mutated_tables(corpus, monkeypatch):
     h1 = sum("H1" in r.axioms() for r in got)
     assert 0 < h1 < len(got)
     assert any(not r.valid and "H1" not in r.axioms() for r in got)
+    thin_got = got[-len(thin_cases):]
+    assert any(r.valid for r in thin_got)
+    assert any("H1" in r.axioms() for r in thin_got)
 
+
+def test_thin_validation_never_reaches_the_row_scan(monkeypatch):
+    # S5's table passes Light's test, so the row scan never runs.
+    def refuse(t, n):
+        raise AssertionError("row scan on a thin associative table")
+
+    monkeypatch.setattr(core, "_row_scan_witness", refuse)
+    s5 = fx.sym5()
+    assert validate(s5.table, s5.star).valid

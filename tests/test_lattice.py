@@ -80,6 +80,41 @@ def test_s5_enumeration_extends_one_subset_per_conjugacy_class(monkeypatch):
     assert len(calls) < 2000
 
 
+def test_s5_enumeration_extends_once_per_stabilizer_orbit(monkeypatch):
+    # A representative is extended by one cyclic closure per orbit of its
+    # stabilizer, and cyclic closures are closed once per conjugacy class:
+    # 212 closure calls where one extension per cyclic closure made 1 198.
+    calls = []
+    real = lattice.closure
+
+    def counting(h, s):
+        calls.append(s)
+        return real(h, s)
+
+    monkeypatch.setattr(lattice, "closure", counting)
+    lat = closed_subsets(fx.sym5().with_rank_cap(120))
+    assert len(lat.subsets) == 156
+    assert len(calls) < 300
+
+
+def test_s5_relations_come_from_thin_generators(monkeypatch):
+    # Every closed subset of S5 is thin, so each pair is decided by the
+    # conjugations of its generators: no complex product at all, where the
+    # product kernel made 6 213.
+    calls = []
+    real = lattice.complex_product
+
+    def counting(h, p, q):
+        calls.append((p, q))
+        return real(h, p, q)
+
+    monkeypatch.setattr(lattice, "complex_product", counting)
+    lat = closed_subsets(fx.sym5().with_rank_cap(120))
+    assert len(lat.normal_in) == 570
+    assert len(lat.strongly_normal_in) == 570
+    assert calls == []
+
+
 def test_thin_conjugations_are_automorphisms(corpus, group_quotients):
     # x -> h* x h for every thin h, as the lattice builds it, checked
     # against the table: a bijection fixing 0 that commutes with star and
