@@ -15,7 +15,7 @@ import json
 import sys
 
 from .bitset import members
-from .core import FiniteHypergroup, ValidationReport, closure, thin_elements
+from .core import FiniteHypergroup, closure, thin_elements
 from .errors import (
     HypergroupError,
     HypothesisViolationError,
@@ -91,19 +91,19 @@ def cmd_validate(args) -> int:
     text = _read(args.file)
     try:
         load_any(text)
-        report = ValidationReport(valid=True, violations=())
+        violations = ()
     except InvalidHypergroupError as exc:
-        report = exc.report
+        violations = exc.report.violations
     machine = {
         "command": "validate",
-        "valid": report.valid,
+        "valid": not violations,
         "violations": [{"axiom": v.axiom, "witness": list(v.witness)}
-                       for v in report.violations],
+                       for v in violations],
     }
-    human = [f"valid: {'yes' if report.valid else 'no'}"]
-    human += [f"violation: {v.axiom} witness {v.witness}" for v in report.violations]
+    human = [f"valid: {'no' if violations else 'yes'}"]
+    human += [f"violation: {v.axiom} witness {v.witness}" for v in violations]
     _emit(args, machine, human)
-    return 0 if report.valid else 1
+    return 1 if violations else 0
 
 
 def cmd_analyze(args) -> int:

@@ -18,7 +18,7 @@ only, there are no structure constants.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain
 from operator import itemgetter, or_
@@ -44,8 +44,13 @@ class Violation(NamedTuple):
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Verdict of validate, with the normalized table and star it checked,
+    which FiniteHypergroup stores; reports compare and print by verdict."""
+
     valid: bool
     violations: tuple[Violation, ...]
+    table: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    star: tuple[int, ...] = field(compare=False, repr=False)
 
     def axioms(self) -> tuple[str, ...]:
         return tuple(v.axiom for v in self.violations)
@@ -90,7 +95,7 @@ def validate(table, star) -> ValidationReport:
     Returns a report listing, for every violated axiom, the first witness
     triple in scan order. Structural defects (wrong shapes, out-of-range
     indices, empty product sets) raise StructuralError instead of being
-    reported as axiom violations.
+    reported as axiom violations. The one place a table is normalized.
     """
     t, star_t, n = _normalize_candidate(table, star)
     found: dict[str, tuple[int, int, int]] = {}
@@ -147,7 +152,8 @@ def validate(table, star) -> ValidationReport:
     violations = tuple(
         Violation(ax, found[ax]) for ax in AXIOM_ORDER if ax in found
     )
-    return ValidationReport(valid=not violations, violations=violations)
+    return ValidationReport(valid=not violations, violations=violations,
+                            table=t, star=star_t)
 
 
 def _or_rows(a, b):
@@ -272,13 +278,12 @@ class FiniteHypergroup:
 
     def __init__(self, table, star, *, name: str = "H",
                  rank_cap: int = DEFAULT_RANK_CAP):
-        t, star_t, n = _normalize_candidate(table, star)
-        report = validate(t, star_t)
+        report = validate(table, star)
         if not report.valid:
             raise InvalidHypergroupError(report)
-        self.rank = n
-        self.star = star_t
-        self.table = t
+        self.rank = len(report.star)
+        self.star = report.star
+        self.table = report.table
         self.name = name
         self.rank_cap = rank_cap
         self._cache: dict = {}
@@ -487,6 +492,3 @@ class Chain:
         for k in self.step_orders:
             out *= k
         return out
-
-    def __len__(self) -> int:
-        return len(self.subsets) - 1

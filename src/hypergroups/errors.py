@@ -46,8 +46,8 @@ class HypothesisViolationError(HypergroupError):
 
 
 class SearchExhaustedError(HypergroupError):
-    """An object guaranteed to exist was not found; indicates a bug or an
-    input outside the guaranteed regime. Surfaced loudly, never swallowed."""
+    """An object guaranteed to exist was not found: a bug, or input outside
+    the guaranteed regime. verify_hall reports it as constructive_note."""
 
 
 class InternalConsistencyError(HypergroupError):

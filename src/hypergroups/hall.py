@@ -15,6 +15,7 @@ valency(H) raises ValencyUndefinedError, which the Pi-subset scan reaches.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .bitset import bits
@@ -183,10 +184,11 @@ def hall_subset_constructive(H: FiniteHypergroup, sigma: PrimePartition,
     Route: quotient over the Pi-radical is a thin, sigma-solvable
     hypergroup, hence a group; scan its subgroups exhaustively for a Hall
     Pi-subgroup, then pull the subgroup back through the block bijection.
-    Refuses with diagnostics when the stored hypothesis facts fail, and
-    treats a missing Hall subgroup in the quotient group or a bad lifted
-    result as a loud error, since neither can occur in the guaranteed
-    regime. pi_radical has already checked that the quotient is thin.
+    Refuses with diagnostics when the stored hypothesis facts fail. A
+    missing Hall subgroup in the quotient group or a bad lifted result,
+    which the guaranteed regime excludes, raises SearchExhaustedError;
+    verify_hall keeps it as constructive_note, and `hall --constructive`
+    prints that and exits 1. pi_radical has checked the quotient is thin.
     """
     if rt_chain(H) is None:
         raise HypothesisViolationError("constructive Hall search refused",
@@ -258,7 +260,6 @@ class HallReport:
     is_sigma_solvable: bool
     is_pi_valenced: bool
     radical: int | None
-    radical_note: str | None
     hall_subsets: tuple[int, ...]
     constructive: int | None
     constructive_note: str | None
@@ -289,7 +290,6 @@ def verify_hall(H: FiniteHypergroup, sigma: PrimePartition,
     valenced = rt and is_pi_valenced(H, sigma, pi)
 
     radical = None
-    radical_note = None
     halls: tuple[int, ...] = ()
     constructive = None
     constructive_note = None
@@ -298,10 +298,8 @@ def verify_hall(H: FiniteHypergroup, sigma: PrimePartition,
 
     if rt:
         halls = hall_subsets_enumerated(H, sigma, pi)
-        try:
+        with suppress(HypothesisViolationError):
             radical = pi_radical(H, sigma, pi)
-        except HypothesisViolationError as exc:
-            radical_note = str(exc)
         try:
             constructive = hall_subset_constructive(H, sigma, pi)
         except (HypothesisViolationError, SearchExhaustedError) as exc:
@@ -322,7 +320,6 @@ def verify_hall(H: FiniteHypergroup, sigma: PrimePartition,
         is_sigma_solvable=solv,
         is_pi_valenced=valenced,
         radical=radical,
-        radical_note=radical_note,
         hall_subsets=halls,
         constructive=constructive,
         constructive_note=constructive_note,

@@ -44,7 +44,6 @@ class QuotientMap:
     """
 
     base: FiniteHypergroup
-    modulus: int
     blocks: tuple[int, ...]
     quotient: FiniteHypergroup
     projection: tuple[int, ...]
@@ -90,8 +89,7 @@ def _build_quotient(H: FiniteHypergroup, fm: int) -> QuotientMap:
     except InvalidHypergroupError as exc:
         raise InternalConsistencyError(
             f"induced quotient table failed validation: {exc}") from exc
-    return QuotientMap(base=H, modulus=fm, blocks=blocks, quotient=q,
-                       projection=tuple(proj))
+    return QuotientMap(base=H, blocks=blocks, quotient=q, projection=tuple(proj))
 
 
 def lift(Q: QuotientMap, E_bar) -> int:

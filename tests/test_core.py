@@ -10,12 +10,14 @@ from hypergroups import (
     PreconditionError,
     RankCapError,
     StructuralError,
+    cayley_to_hypergroup,
     closed_subsets,
     closure,
     complex_product,
     is_closed,
     mask_of,
     members,
+    quotient,
     star_set,
     sub_hypergroup,
     thin_elements,
@@ -342,6 +344,38 @@ def test_validate_matches_triple_scan_on_mutated_tables(corpus, monkeypatch):
     thin_got = got[-len(thin_cases):]
     assert any(r.valid for r in thin_got)
     assert any("H1" in r.axioms() for r in thin_got)
+
+
+def test_construction_normalizes_once(monkeypatch):
+    # validate is the one place a table is normalized: the constructor
+    # hands it the raw input and keeps the report's table and star. The
+    # fixture's store may already hold the quotient, so s3 is a new instance.
+    s3 = FiniteHypergroup(fx.sym3().table, fx.sym3().star)
+    text = fx.cayley_text(fx.int_table(s3), "s3")
+    rotations = closure(s3, [next(s for s in range(1, 6)
+                                  if fx.element_order(s3, s) == 3)])
+    results = {"_normalize_candidate": [], "validate": []}
+
+    def spy(name):
+        inner = getattr(core, name)
+
+        def wrapper(*args):
+            results[name].append(inner(*args))
+            return results[name][-1]
+
+        monkeypatch.setattr(core, name, wrapper)
+
+    for name in results:
+        spy(name)
+    for build in (lambda: FiniteHypergroup(K2_TABLE, IDENT_STAR),
+                  lambda: cayley_to_hypergroup(text),
+                  lambda: quotient(s3, rotations).quotient):
+        for calls in results.values():
+            calls.clear()
+        h = build()
+        assert [len(calls) for calls in results.values()] == [1, 1]
+        report = results["validate"][0]
+        assert report.valid and report.table is h.table and report.star is h.star
 
 
 def test_thin_validation_never_reaches_the_row_scan(monkeypatch):

@@ -253,6 +253,25 @@ def test_s4_mod_c2_conjugacy_needs_non_thin_witnesses():
     assert rep.hypotheses_hold and rep.conclusions_hold
 
 
+def _f21():
+    # The Frobenius group of order 21: solvable, with seven Sylow
+    # 3-subgroups and no element of order 2.
+    return fx.thin_from_table(fx.group_table(
+        [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)]), "f21")
+
+
+def test_f21_hall_hypotheses_hold():
+    rep = verify_hall(_f21(), SMALLEST, _sel("{3}"))
+    assert rep.hypotheses_hold
+    assert len(rep.hall_subsets) == 7
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: are_conjugate asks for "
+                   "one element that swaps S and T; no involution exists in F21")
+def test_f21_hall_subsets_are_conjugate():
+    assert verify_hall(_f21(), SMALLEST, _sel("{3}")).conclusion_conjugate
+
+
 def test_verify_hall_s3(corpus):
     s3 = corpus["s3"]
     rep = verify_hall(s3, SMALLEST, _sel("{2}"))

@@ -153,3 +153,29 @@ def test_only_valency_refuses_undefined_valency():
     sites = [path.name for path in MODULES
              if constructs(ast.parse(path.read_text(encoding="utf-8")))]
     assert sites == ["valency.py"]
+
+
+def test_every_member_is_read():
+    # Every method, property and annotated field of a package class is read
+    # as an attribute (x.name) somewhere in the package, the tests or the
+    # benchmark. A keyword in a constructor call writes a field; it does not
+    # read it.
+    reads = set()
+    for path in [*PACKAGE.glob("*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]:
+        reads |= {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in MODULES:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")) and name not in reads:
+                    unread.append(f"{path.name}:{node.lineno} {cls.name}.{name}")
+    assert not unread, f"members read nowhere: {', '.join(unread)}"

@@ -137,7 +137,7 @@ def test_s3_chains_frozen():
     assert len(chains) == 2
     products = {c.order_product for c in chains}
     assert products == {6}
-    lengths = sorted(len(c) for c in chains)
+    lengths = sorted(len(c.step_orders) for c in chains)
     assert lengths == [1, 2]
 
 
