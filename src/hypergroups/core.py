@@ -301,13 +301,9 @@ class FiniteHypergroup:
         h._cache = {}
         return h
 
-    def subset(self, spec) -> int:
-        """Coerce an int bitmask or an iterable of element indices to a mask."""
-        if isinstance(spec, int):
-            m = spec
-        else:
-            m = mask_of(int(x) for x in spec)
-        if m < 0 or m >> self.rank:
+    def subset(self, m: int) -> int:
+        """m, checked to be a mask of 0..rank-1 (m >> rank is nonzero if m < 0)."""
+        if m >> self.rank:
             raise PreconditionError(f"subset out of range for rank {self.rank}")
         return m
 
@@ -339,15 +335,16 @@ def thin_elements(H: FiniteHypergroup) -> int:
         s for s in range(H.rank) if H.table[H.star[s]][s] == 1))
 
 
-def complex_product(H: FiniteHypergroup, P, Q) -> int:
-    """Union of the table entries over p in P, q in Q. Empty if either is."""
-    pm = H.subset(P)
-    qm = H.subset(Q)
+def complex_product(H: FiniteHypergroup, P: int, Q: int) -> int:
+    """Union of the table entries over p in P, q in Q, both masks checked
+    inline as in FiniteHypergroup.subset. Empty if either is."""
+    if (P | Q) >> H.rank:
+        raise PreconditionError(f"subset out of range for rank {H.rank}")
     out = 0
     t = H.table
-    for p in bits(pm):
+    for p in bits(P):
         row = t[p]
-        m = qm
+        m = Q
         while m:
             low = m & -m
             out |= row[low.bit_length() - 1]
@@ -355,11 +352,13 @@ def complex_product(H: FiniteHypergroup, P, Q) -> int:
     return out
 
 
-def star_set(H: FiniteHypergroup, S) -> int:
-    """Image of a subset under the star involution."""
+def star_set(H: FiniteHypergroup, S: int) -> int:
+    """Image of a mask under the star involution."""
+    if S >> H.rank:
+        raise PreconditionError(f"subset out of range for rank {H.rank}")
     out = 0
     star = H.star
-    for s in bits(H.subset(S)):
+    for s in bits(S):
         out |= 1 << star[s]
     return out
 
@@ -367,6 +366,7 @@ def star_set(H: FiniteHypergroup, S) -> int:
 def closure(H: FiniteHypergroup, S) -> int:
     """Smallest closed subset containing S and the identity.
 
+    S is a mask or, here alone in the package, a collection of indices.
     Computed as the set W of all products of generators: starting from the
     identity, every new member is multiplied on the right by s and s* for
     each s in S. W contains S, and every closed subset containing S contains
@@ -379,7 +379,7 @@ def closure(H: FiniteHypergroup, S) -> int:
     """
     t = H.table
     full = H.full
-    seed = H.subset(S)
+    seed = H.subset(S if isinstance(S, int) else mask_of(S))
     gens = tuple(bits((seed | star_set(H, seed)) & ~1))
     mask = 1
     queue = [1]  # masks of members not yet multiplied out

@@ -227,8 +227,6 @@ def parse_selection(text: str, sigma: PrimePartition) -> PiSelection:
             except ValueError as exc:
                 raise PartitionSyntaxError(f"bad class literal {chunk!r}") from exc
             primes = _distinct(listed, chunk)
-            if not primes:
-                raise PartitionSyntaxError("empty class literal")
             for p in primes:
                 _require_prime(p)
             cls = sigma.class_of(min(primes))

@@ -248,8 +248,8 @@ def thin_adjoint_squares(h):
                    if is_thin(sub_hypergroup(h, t))]
     for t in thin_closed:
         for e in range(h.rank):
-            star_e = star_set(h, [e])
-            hh = complex_product(h, star_e, [e])
+            star_e = star_set(h, mask_of([e]))
+            hh = complex_product(h, star_e, mask_of([e]))
             if hh & ~t:
                 continue
             if not is_closed(h, hh):

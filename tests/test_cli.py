@@ -175,6 +175,22 @@ def test_hall_bad_pi_syntax(capsys, fixtures_dir):
     assert "not prime" in err or "class" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("hall", "s3.cayley", "--pi", "{}"), "bad class literal '{}'"),
+    (("hall", "s3.cayley", "--pi", "{ }"), "bad class literal '{ }'"),
+    (("hall", "s3.cayley", "--pi", "{2"), "bad class literal '{2'"),
+    (("hall", "s3.cayley", "--sigma", "2||3", "--pi", "0"),
+     "empty class in partition text"),
+    (("hall", "s3.cayley", "--sigma", "2|3", "--pi", "a"),
+     "bad class selection 'a'"),
+    (("quotient", "s3.cayley", "1,x"), "bad generator list '1,x'"),
+])
+def test_syntax_errors_exit_two(capsys, fixtures_dir, argv, message):
+    command, file, *rest = argv
+    code, out, err = run(capsys, command, str(fixtures_dir / file), *rest)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_repeated_prime_is_input_error(capsys, fixtures_dir):
     code, out, err = run(capsys, "verify", str(fixtures_dir / "s3.cayley"),
                          "--sigma", "2,2", "--pi", "0")

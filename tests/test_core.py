@@ -10,18 +10,25 @@ from hypergroups import (
     PreconditionError,
     RankCapError,
     StructuralError,
+    are_conjugate,
     cayley_to_hypergroup,
     closed_subsets,
     closure,
     complex_product,
+    double_cosets,
     is_closed,
+    is_normal,
+    is_strongly_normal,
+    lift,
     mask_of,
     members,
     quotient,
+    section_quotient,
     star_set,
     sub_hypergroup,
     thin_elements,
     validate,
+    valency_of,
 )
 from hypergroups import core
 from hypergroups import fixtures as fx
@@ -97,6 +104,12 @@ def test_structural_errors_are_not_axiom_violations():
         validate(K2_TABLE, [0])
     with pytest.raises(StructuralError):
         validate(K2_TABLE, [0, 2])
+    with pytest.raises(StructuralError, match="not a set of indices"):
+        validate([[{0}, None], [{1}, {0}]], IDENT_STAR)
+    with pytest.raises(StructuralError, match="rank must be at least 1"):
+        validate([], [])
+    with pytest.raises(StructuralError, match="row 0 must have 2 entries"):
+        validate([[{0}], [{1}, {0}]], IDENT_STAR)
 
 
 def test_star_violation_reported():
@@ -140,25 +153,25 @@ def test_rank_cap_copy_shares_the_table_and_not_the_store(monkeypatch):
 
 def test_complex_product_examples(corpus):
     k2 = corpus["k2"]
-    assert complex_product(k2, [1], [1]) == mask_of([0, 1])
+    assert complex_product(k2, mask_of([1]), mask_of([1])) == mask_of([0, 1])
     s3 = corpus["s3"]
     for h in corpus.values():
         full = h.full
-        assert complex_product(h, [0], full) == full
+        assert complex_product(h, mask_of([0]), full) == full
     # thin products are singletons
     for a in range(s3.rank):
         for b in range(s3.rank):
-            assert complex_product(s3, [a], [b]).bit_count() == 1
-    assert complex_product(k2, 0, [1]) == 0
+            assert complex_product(s3, mask_of([a]), mask_of([b])).bit_count() == 1
+    assert complex_product(k2, 0, mask_of([1])) == 0
 
 
 def test_star_set_examples(corpus):
     k2 = corpus["k2"]
-    assert star_set(k2, [0]) == 1
-    assert star_set(k2, [0, 1]) == 3
+    assert star_set(k2, mask_of([0])) == 1
+    assert star_set(k2, mask_of([0, 1])) == 3
     s3 = corpus["s3"]
     t = fx.involutions(s3)[0]
-    assert star_set(s3, [t]) == 1 << t
+    assert star_set(s3, mask_of([t])) == 1 << t
 
 
 def test_closure_examples(corpus):
@@ -194,7 +207,7 @@ def test_closure_minimal_against_powerset_oracle(small_corpus):
 
 def test_is_closed_examples(corpus):
     s3 = corpus["s3"]
-    assert is_closed(s3, [0])
+    assert is_closed(s3, mask_of([0]))
     rot = next(s for s in range(1, 6) if fx.element_order(s3, s) == 3)
     a3 = closure(s3, [rot])
     assert is_closed(s3, a3)
@@ -250,7 +263,7 @@ def test_star_reverses_products_exhaustively_small(corpus):
 
 def test_sub_hypergroup(corpus):
     s3 = corpus["s3"]
-    triv = sub_hypergroup(s3, [0])
+    triv = sub_hypergroup(s3, mask_of([0]))
     assert triv.rank == 1
     whole = sub_hypergroup(s3, s3.full)
     assert whole.table == s3.table
@@ -262,7 +275,7 @@ def test_sub_hypergroup(corpus):
     # cyclic of order 3: every non-identity element generates
     assert all(a3.table[s][s] != 1 << s for s in range(1, 3))
     with pytest.raises(PreconditionError):
-        sub_hypergroup(s3, [0, rot])
+        sub_hypergroup(s3, mask_of([0, rot]))
 
 
 def test_closure_fixpoint_under_star_and_identity(corpus):
@@ -386,3 +399,71 @@ def test_thin_validation_never_reaches_the_row_scan(monkeypatch):
     monkeypatch.setattr(core, "_row_scan_witness", refuse)
     s5 = fx.sym5()
     assert validate(s5.table, s5.star).valid
+
+
+def _subset_arguments():
+    """(name, rank, call) for every public function that takes a subset,
+    one entry per subset argument; call(x) passes x there and valid closed
+    subsets of S3 elsewhere. rank is that of the hypergroup x belongs to."""
+    s3 = fx.corpus()["s3"]
+    n = s3.rank
+    a3 = closure(s3, [next(s for s in range(1, n) if fx.element_order(s3, s) == 3)])
+    qm = quotient(s3, a3)
+    return [
+        ("complex_product P", n, lambda x: complex_product(s3, x, 1)),
+        ("complex_product Q", n, lambda x: complex_product(s3, 1, x)),
+        ("star_set", n, lambda x: star_set(s3, x)),
+        ("closure", n, lambda x: closure(s3, x)),
+        ("is_closed", n, lambda x: is_closed(s3, x)),
+        ("sub_hypergroup", n, lambda x: sub_hypergroup(s3, x)),
+        ("double_cosets", n, lambda x: double_cosets(s3, x)),
+        ("quotient", n, lambda x: quotient(s3, x)),
+        ("section_quotient E", n, lambda x: section_quotient(s3, x, s3.full)),
+        ("section_quotient G", n, lambda x: section_quotient(s3, 1, x)),
+        ("lift", qm.quotient.rank, lambda x: lift(qm, x)),
+        ("valency_of", n, lambda x: valency_of(s3, x)),
+        ("is_normal E", n, lambda x: is_normal(s3, x, s3.full)),
+        ("is_normal F", n, lambda x: is_normal(s3, 1, x)),
+        ("is_strongly_normal E", n, lambda x: is_strongly_normal(s3, x, s3.full)),
+        ("is_strongly_normal F", n, lambda x: is_strongly_normal(s3, 1, x)),
+        ("are_conjugate S", n, lambda x: are_conjugate(s3, x, a3)),
+        ("are_conjugate T", n, lambda x: are_conjugate(s3, a3, x)),
+        ("QuotientMap.project_set", n, lambda x: qm.project_set(x)),
+    ]
+
+
+@pytest.mark.parametrize("name, rank, call", [
+    pytest.param(*case, id=case[0]) for case in _subset_arguments()])
+def test_a_subset_is_a_mask_in_range(name, rank, call):
+    # Every subset argument is an int mask of elements 0..rank-1; only
+    # closure also takes its generators as a collection of indices.
+    for bad in (-1, -2, 1 << rank, (1 << rank) | 1):
+        with pytest.raises(PreconditionError):
+            call(bad)
+    if name == "closure":
+        assert call([0]) == call(1)
+        with pytest.raises(PreconditionError):
+            call([0, rank])
+    else:
+        with pytest.raises(TypeError):
+            call([0])
+
+
+def test_quotient_does_not_recheck_masks(monkeypatch):
+    # The product kernels check their masks inline, so building a quotient
+    # of S4 checks a subset through FiniteHypergroup.subset four times: in
+    # quotient, double_cosets, is_closed and closure. Coercing every
+    # complex_product argument made it 145.
+    s4 = fx.thin_from_table(fx.group_table([(1, 2, 3, 0), (1, 0, 2, 3)]), "s4")
+    f = closure(s4, [2])  # element 2 is the transposition (1 0)
+    calls = []
+    real = FiniteHypergroup.subset
+
+    def counting(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(FiniteHypergroup, "subset", counting)
+    assert quotient(s4, f).quotient.rank == 7
+    assert len(calls) == 4
+    assert f.bit_count() == 2 and not is_normal(s4, f, s4.full)

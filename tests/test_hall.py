@@ -144,7 +144,7 @@ def test_pi_valenced_counterexample_rank3_quotient(corpus):
     assert witness is not None
     u, elem = witness
     assert u == 1
-    s = complex_product(h, star_set(h, [elem]), [elem])
+    s = complex_product(h, star_set(h, mask_of([elem])), mask_of([elem]))
     assert s & ~thin_elements(h) == 0
     assert s.bit_count() == 2
     assert is_pi_valenced(h, SMALLEST, _sel("{2}"))
@@ -316,7 +316,7 @@ def test_no_thin_forcing_counterexamples(corpus):
             thin = thin_elements(h)
             squares_ok = True
             for e in range(h.rank):
-                s = complex_product(h, star_set(h, [e]), [e])
+                s = complex_product(h, star_set(h, mask_of([e])), mask_of([e]))
                 if s & ~thin == 0 and not is_pi_number(s.bit_count(), SMALLEST, pi):
                     squares_ok = False
             if squares_ok:

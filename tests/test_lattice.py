@@ -227,7 +227,7 @@ def test_normality_examples(corpus):
     with pytest.raises(PreconditionError):
         is_normal(s3, s3.full, a3)
     rot = next(s for s in range(1, 6) if fx.element_order(s3, s) == 3)
-    assert not is_closed(s3, [0, rot])
+    assert not is_closed(s3, mask_of([0, rot]))
     with pytest.raises(PreconditionError):
         is_normal(s3, mask_of([0, rot]), s3.full)
 

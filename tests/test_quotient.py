@@ -140,6 +140,15 @@ def test_lift_examples(corpus):
             lifted = lift(qm, ebar)
             assert lifted.bit_count() == 4
             assert center & ~lifted == 0
+    with pytest.raises(PreconditionError, match="closed subset of the quotient"):
+        lift(qm, mask_of([1]))
+
+
+def test_section_quotient_requires_e_inside_g(corpus):
+    s3 = corpus["s3"]
+    refl = closure(s3, [fx.involutions(s3)[0]])
+    with pytest.raises(PreconditionError, match="E inside G"):
+        section_quotient(s3, refl, 1)
 
 
 def test_strongly_normal_iff_thin_quotient(small_corpus):
@@ -215,11 +224,11 @@ def test_thin_closed_adjoint_squares(small_corpus):
                        if is_thin(sub_hypergroup(h, t))]
         for t in thin_closed:
             for e in range(h.rank):
-                hh = complex_product(h, star_set(h, [e]), [e])
+                hh = complex_product(h, star_set(h, mask_of([e])), mask_of([e]))
                 if hh & ~t:
                     continue
                 assert is_closed(h, hh)
-                star_e = star_set(h, [e])
+                star_e = star_set(h, mask_of([e]))
                 normalizes = complex_product(h, t, star_e) & \
                     ~complex_product(h, star_e, t) == 0
                 if normalizes:

@@ -4,6 +4,7 @@ import pytest
 
 from hypergroups import (
     Chain,
+    PreconditionError,
     ValencyUndefinedError,
     closed_subsets,
     closure,
@@ -97,6 +98,8 @@ def test_valency_of_examples(corpus):
     assert valency_of(s3, 1) == 1
     assert valency_of(s3, s3.full) == 6
     assert valency_of(s3, a3) == 3
+    with pytest.raises(PreconditionError, match="closed subset"):
+        valency_of(s3, mask_of([0, rot]))
 
 
 def test_subset_valency_divides(corpus):
