@@ -379,7 +379,10 @@ def closure(H: FiniteHypergroup, S) -> int:
     """
     t = H.table
     full = H.full
-    seed = H.subset(S if isinstance(S, int) else mask_of(S))
+    try:
+        seed = H.subset(S if isinstance(S, int) else mask_of(S))
+    except ValueError:  # a negative index, whose shift mask_of refuses
+        raise PreconditionError(f"subset out of range for rank {H.rank}") from None
     gens = tuple(bits((seed | star_set(H, seed)) & ~1))
     mask = 1
     queue = [1]  # masks of members not yet multiplied out

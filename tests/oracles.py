@@ -2,7 +2,9 @@
 
 Everything here works on plain python sets and integer Cayley tables, not
 on the package's bitmask representation, and recomputes results by direct
-enumeration so the main code paths are checked against a second route.
+enumeration so the main code paths are checked against a second route. The
+one exception is naive_solvability_suite, which asks the package's own
+sigma-solvability test about every quotient and sub-hypergroup separately.
 """
 
 from __future__ import annotations
@@ -239,6 +241,60 @@ def naive_rt_chains(table, star) -> list[tuple[frozenset[int], ...]]:
 
     extend([frozenset({0})])
     return chains
+
+
+# ---------------------------------------------------------------------------
+# the solvability suite, every instance decided on its own
+
+def naive_solvability_suite(H, sigma):
+    """The report solvability_suite must give, with nothing carried: the
+    quotient over every closed subset is built and decided, whether or not
+    a check reads it, and a closed subset is decided as a sub-hypergroup
+    rather than by a chain in H's own lattice."""
+    from hypergroups import (
+        SMALLEST,
+        SolvabilitySuiteReport,
+        SuiteCheck,
+        closed_subsets,
+        is_residually_thin,
+        is_sigma_solvable,
+        is_solvable,
+        members,
+        quotient,
+        sub_hypergroup,
+        subnormal_closed_subsets,
+    )
+
+    lat = closed_subsets(H)
+    solvable = is_sigma_solvable(H, sigma)
+    part = {c: is_sigma_solvable(sub_hypergroup(H, c), sigma)
+            for c in lat.subsets}
+    over = {e: is_sigma_solvable(quotient(H, e).quotient, sigma)
+            for e in lat.subsets}
+    subnormal = subnormal_closed_subsets(H)
+    every = lat.subsets if solvable else ()
+
+    def check(name, cases):
+        return SuiteCheck(name, len(cases),
+                          tuple(label for label, ok in cases if not ok))
+
+    return SolvabilitySuiteReport((
+        check("closed_subsets_inherit_solvability",
+              [(f"closed subset {list(members(c))}", part[c]) for c in every]),
+        check("quotients_by_normal_inherit_solvability",
+              [(f"quotient over normal {list(members(e))}", over[e])
+               for e in every if (e, H.full) in lat.normal_in]),
+        check("quotients_by_subnormal_inherit_solvability",
+              [(f"quotient over subnormal {list(members(d))}", over[d])
+               for d in every if d in subnormal]),
+        check("solvable_part_and_quotient_force_solvability",
+              [(f"assembled through {list(members(e))}", solvable)
+               for e in lat.subsets if part[e] and over[e]]),
+        check("smallest_partition_matches_prime_step_chains",
+              [("smallest-partition solvability disagrees with prime-step chains",
+                is_sigma_solvable(H, SMALLEST) == is_solvable(H))]
+              if is_residually_thin(H) else []),
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,8 @@ def test_a_subset_is_a_mask_in_range(name, rank, call):
         assert call([0]) == call(1)
         with pytest.raises(PreconditionError):
             call([0, rank])
+        with pytest.raises(PreconditionError):
+            call([-1])
     else:
         with pytest.raises(TypeError):
             call([0])

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from hypergroups import (
@@ -38,8 +40,11 @@ from hypergroups import (
 )
 from hypergroups import fixtures as fx
 from hypergroups import hall
+from hypergroups.cli import main
 
-from oracles import naive_subnormal, sets_of
+from oracles import naive_solvability_suite, naive_subnormal, sets_of
+
+quotient_module = importlib.import_module("hypergroups.quotient")
 
 
 def _sel(text, sigma=SMALLEST):
@@ -355,6 +360,41 @@ def test_solvability_suite_counts(corpus):
     by_name = {c.name: c for c in report.checks}
     assert by_name["closed_subsets_inherit_solvability"].applicable == 6
     assert by_name["smallest_partition_matches_prime_step_chains"].applicable == 1
+
+
+def test_solvability_suite_matches_the_oracle(corpus, groups):
+    # The suite decides each quotient once per orbit of thin conjugation
+    # and carries the answer to the orbit; the oracle builds and decides
+    # every quotient. The reports agree on the corpus, every G//K of the
+    # groups, and A5, under the smallest and a coarse partition.
+    inputs = [*corpus.values(),
+              *(quotient(g, k).quotient for g in groups.values()
+                for k in closed_subsets(g).subsets),
+              fx.alt5().with_rank_cap(60)]
+    for sig in (SMALLEST, parse_partition("2|3,5")):
+        for h in inputs:
+            assert solvability_suite(h, sig) == naive_solvability_suite(h, sig), \
+                (h.name, str(sig))
+
+
+def test_a5_verify_builds_one_suite_quotient_per_orbit(monkeypatch, capsys,
+                                                       fixtures_dir):
+    # One verify of A5 builds the quotients over the representatives of
+    # the 8 classes of proper subgroups, the quotient over {0} among them,
+    # which the Pi-valenced check reads too; one quotient per proper
+    # subgroup made 58.
+    built = []
+    real = quotient_module._build_quotient
+
+    def counting(h, fm):
+        built.append(fm)
+        return real(h, fm)
+
+    monkeypatch.setattr(quotient_module, "_build_quotient", counting)
+    main(["verify", str(fixtures_dir / "a5.cayley"), "--rank-cap", "60",
+          "--sigma", "smallest", "--pi", "{2}", "--machine"])
+    capsys.readouterr()
+    assert 0 < len(built) <= 9
 
 
 def test_smallest_partition_agreement_on_rt_corpus(corpus):
