@@ -60,12 +60,7 @@ from .hall import (
     subnormal_closed_subsets,
     verify_hall,
 )
-from .lattice import (
-    ClosedSubsetLattice,
-    closed_subsets,
-    is_normal,
-    is_strongly_normal,
-)
+from .lattice import ClosedSubsetLattice, closed_subsets
 from .quotient import (
     QuotientMap,
     double_cosets,

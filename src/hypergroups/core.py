@@ -52,9 +52,6 @@ class ValidationReport:
     table: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     star: tuple[int, ...] = field(compare=False, repr=False)
 
-    def axioms(self) -> tuple[str, ...]:
-        return tuple(v.axiom for v in self.violations)
-
 
 def _entry_mask(entry, rank: int, p: int, q: int) -> int:
     if isinstance(entry, int):
@@ -269,9 +266,11 @@ class FiniteHypergroup:
     Every instance is validated: a table that breaks an axiom raises
     InvalidHypergroupError with the report. All operations on hypergroups
     in this package are pure functions; instances may be shared freely
-    between workers. Every derived fact (sub-hypergroups, quotients, the
-    closed-subset lattice, chains, ...) is kept after first computation in
-    the instance's one store, read and written only through cached().
+    between workers. Instances compare and hash by identity, as two with
+    one table may differ in name or rank cap. Every derived fact
+    (sub-hypergroups, quotients, the closed-subset lattice, chains, ...) is
+    kept after first computation in the instance's one store, read and
+    written only through cached().
     """
 
     __slots__ = ("rank", "star", "table", "name", "rank_cap", "_cache")
@@ -306,13 +305,6 @@ class FiniteHypergroup:
         if m >> self.rank:
             raise PreconditionError(f"subset out of range for rank {self.rank}")
         return m
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteHypergroup)
-                and self.star == other.star and self.table == other.table)
-
-    def __hash__(self):
-        return hash((self.star, self.table))
 
     def __repr__(self):
         return f"FiniteHypergroup({self.name!r}, rank={self.rank})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import FiniteHypergroup, closure
-from .lattice import is_normal
+from .lattice import closed_subsets
 from .quotient import quotient
 
 
@@ -200,12 +200,13 @@ def q8_mod_center() -> FiniteHypergroup:
 def s4_mod_klein() -> FiniteHypergroup:
     """Quotient over the normal Klein four subgroup; a thin rank-6 group."""
     h = sym4()
+    normal = closed_subsets(h).normal_in
     for a in involutions(h):
         for b in involutions(h):
             if a >= b or h.table[a][b] != h.table[b][a]:
                 continue
             f = closure(h, {a, b})
-            if f.bit_count() == 4 and is_normal(h, f, h.full):
+            if f.bit_count() == 4 and (f, h.full) in normal:
                 return _quotient_by(h, f, "s4_mod_klein")
     raise LookupError("no normal Klein subgroup found")
 
@@ -214,9 +215,10 @@ def s4_mod_klein() -> FiniteHypergroup:
 def s4_mod_transposition() -> FiniteHypergroup:
     """Rank 7 double-coset quotient over a non-normal order-2 subgroup."""
     h = sym4()
+    normal = closed_subsets(h).normal_in
     for s in involutions(h):
         f = closure(h, {s})
-        if not is_normal(h, f, h.full):
+        if (f, h.full) not in normal:
             q = _quotient_by(h, f, "s4_mod_transposition")
             if q.rank == 7:
                 return q

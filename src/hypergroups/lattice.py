@@ -10,10 +10,9 @@ from .core import (
     cached,
     closure,
     complex_product,
-    is_closed,
     thin_elements,
 )
-from .errors import InternalConsistencyError, PreconditionError, RankCapError
+from .errors import InternalConsistencyError, RankCapError
 
 
 @dataclass(frozen=True)
@@ -223,26 +222,6 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
         subsets=subsets, normal_in=frozenset(normal),
         strongly_normal_in=frozenset(strong),
         representative={m: rep for m, (rep, _) in rep_of.items()})
-
-
-def _require_closed_pair(H, E, F, op):
-    em = H.subset(E)
-    fm = H.subset(F)
-    if not is_closed(H, em) or not is_closed(H, fm):
-        raise PreconditionError(f"{op} requires closed subsets")
-    if em & ~fm:
-        raise PreconditionError(f"{op} requires the first subset inside the second")
-    return em, fm
-
-
-def is_normal(H: FiniteHypergroup, E, F) -> bool:
-    """E h inside h E for every h in F, with E contained in F, both closed."""
-    return _normality(H, *_require_closed_pair(H, E, F, "is_normal"))[0]
-
-
-def is_strongly_normal(H: FiniteHypergroup, E, F) -> bool:
-    """h* E h inside E for every h in F, with E contained in F, both closed."""
-    return _normality(H, *_require_closed_pair(H, E, F, "is_strongly_normal"))[1]
 
 
 def climb(H: FiniteHypergroup, pairs, bottom: int, top: int, step_ok=None):

@@ -35,24 +35,16 @@ def double_cosets(H: FiniteHypergroup, F) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class QuotientMap:
-    """A hypergroup quotient by a closed subset, with its projection.
+    """A hypergroup quotient by a closed subset.
 
-    blocks[i] is the i-th double coset (ordered by smallest member), the
-    quotient is a hypergroup on the block indices, and projection[e] is the
-    block index of element e. Block 0 is the modulus itself and is the
-    identity of the quotient.
+    blocks[i] is the i-th double coset (ordered by smallest member), and
+    the quotient is a hypergroup on the block indices. Block 0 is the
+    modulus itself and is the identity of the quotient.
     """
 
     base: FiniteHypergroup
     blocks: tuple[int, ...]
     quotient: FiniteHypergroup
-    projection: tuple[int, ...]
-
-    def project_set(self, S) -> int:
-        out = 0
-        for e in bits(self.base.subset(S)):
-            out |= 1 << self.projection[e]
-        return out
 
 
 def quotient(H: FiniteHypergroup, F) -> QuotientMap:
@@ -89,7 +81,7 @@ def _build_quotient(H: FiniteHypergroup, fm: int) -> QuotientMap:
     except InvalidHypergroupError as exc:
         raise InternalConsistencyError(
             f"induced quotient table failed validation: {exc}") from exc
-    return QuotientMap(base=H, blocks=blocks, quotient=q, projection=tuple(proj))
+    return QuotientMap(base=H, blocks=blocks, quotient=q)
 
 
 def lift(Q: QuotientMap, E_bar) -> int:

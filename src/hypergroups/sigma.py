@@ -143,16 +143,6 @@ class PiSelection:
     selected: frozenset[frozenset[int]] = frozenset()
     everything: bool = False
 
-    def __str__(self):
-        if self.everything:
-            return "all"
-        if not self.selected:
-            return "(none)"
-        return ",".join(
-            "{" + ",".join(map(str, sorted(c))) + "}"
-            for c in sorted(self.selected, key=lambda c: sorted(c))
-        )
-
 
 def is_pi_number(n: int, sigma: PrimePartition, pi: PiSelection) -> bool:
     """Every prime divisor of n lies in a selected class; true for n = 1."""

@@ -14,7 +14,6 @@ from hypergroups import (
     complex_product,
     is_closed,
     is_residually_thin,
-    is_strongly_normal,
     is_thin,
     lift,
     mask_of,
@@ -110,6 +109,11 @@ def isomorphic(A, B) -> tuple[int, ...] | None:
     return phi
 
 
+def project(qm, s) -> int:
+    """Mask of the blocks of the quotient map qm that meet the subset s."""
+    return sum(1 << i for i, block in enumerate(qm.blocks) if block & s)
+
+
 def _normalizes(h, d, e) -> bool:
     """Every element of d normalizes e: e x inside x e."""
     return all(
@@ -119,8 +123,9 @@ def _normalizes(h, d, e) -> bool:
 
 def strongly_normal_iff_thin_quotient(h):
     out = []
-    for f in closed_subsets(h).subsets:
-        if is_strongly_normal(h, f, h.full) != is_thin(quotient(h, f).quotient):
+    lat = closed_subsets(h)
+    for f in lat.subsets:
+        if ((f, h.full) in lat.strongly_normal_in) != is_thin(quotient(h, f).quotient):
             out.append(f"{h.name}: subset {list(members(f))}")
     return out
 
@@ -130,12 +135,13 @@ def strong_normality_descends_to_quotients(h):
     lat = closed_subsets(h)
     for d in lat.subsets:
         qm = quotient(h, d)
+        q = qm.quotient
+        q_strong = closed_subsets(q).strongly_normal_in
         for e in lat.subsets:
             if d & ~e:
                 continue
-            ebar = qm.project_set(e)
-            if is_strongly_normal(h, e, h.full) != \
-                    is_strongly_normal(qm.quotient, ebar, qm.quotient.full):
+            if ((e, h.full) in lat.strongly_normal_in) != \
+                    ((project(qm, e), q.full) in q_strong):
                 out.append(f"{h.name}: pair {list(members(d))}, {list(members(e))}")
     return out
 
@@ -199,7 +205,7 @@ def closed_subset_bijection(h):
             out.append(f"{h.name}: count mismatch over {list(members(f))}")
             continue
         for e in over:
-            ebar = qm.project_set(e)
+            ebar = project(qm, e)
             if ebar not in q_closed or lift(qm, ebar) != e:
                 out.append(f"{h.name}: round trip fails at {list(members(e))}")
     return out
@@ -216,7 +222,7 @@ def quotient_tower_isomorphism(h):
             if d & ~e:
                 continue
             qd = quotient(h, d)
-            tower = quotient(qd.quotient, qd.project_set(e)).quotient
+            tower = quotient(qd.quotient, project(qd, e)).quotient
             if isomorphic(tower, he) is None:
                 out.append(f"{h.name}: tower fails ({list(members(d))}, "
                            f"{list(members(e))})")
@@ -244,8 +250,8 @@ def product_intersection_isomorphism(h):
 
 def thin_adjoint_squares(h):
     out = []
-    thin_closed = [t for t in closed_subsets(h).subsets
-                   if is_thin(sub_hypergroup(h, t))]
+    lat = closed_subsets(h)
+    thin_closed = [t for t in lat.subsets if is_thin(sub_hypergroup(h, t))]
     for t in thin_closed:
         for e in range(h.rank):
             star_e = star_set(h, mask_of([e]))
@@ -258,7 +264,7 @@ def thin_adjoint_squares(h):
                 continue
             normalizes = complex_product(h, t, star_e) & \
                 ~complex_product(h, star_e, t) == 0
-            if normalizes and not is_strongly_normal(h, hh, t):
+            if normalizes and (hh, t) not in lat.strongly_normal_in:
                 out.append(f"{h.name}: adjoint square of {e} not strongly "
                            f"normal in {list(members(t))}")
     return out
@@ -284,7 +290,7 @@ def meet_preserves_strong_normality(h):
     lat = closed_subsets(h)
     for c, d in lat.strongly_normal_in:
         for f in lat.subsets:
-            if not is_strongly_normal(h, c & f, d & f):
+            if (c & f, d & f) not in lat.strongly_normal_in:
                 out.append(f"{h.name}: meet with {list(members(f))} breaks "
                            f"({list(members(c))}, {list(members(d))})")
     return out
@@ -300,7 +306,7 @@ def normal_product_preserves_strong_normality(h):
             ed = complex_product(h, e, d)
             if not is_closed(h, ec) or not is_closed(h, ed):
                 out.append(f"{h.name}: product with {list(members(e))} not closed")
-            elif not is_strongly_normal(h, ec, ed):
+            elif (ec, ed) not in lat.strongly_normal_in:
                 out.append(f"{h.name}: product with {list(members(e))} breaks "
                            f"({list(members(c))}, {list(members(d))})")
     return out

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypergroups import cli, core, formats
+from hypergroups import InternalConsistencyError, cli, core, formats
 from hypergroups.cli import main
 from hypergroups import fixtures as fx
 from hypergroups.formats import serialize_hypergroup
@@ -157,6 +157,44 @@ def test_hall_constructive(capsys, fixtures_dir):
                        "--pi", "{2}", "--constructive")
     assert code == 0
     assert "hall subset: {" in out
+
+
+def test_hall_constructive_refuses_outside_pi_valenced(capsys, fixtures_dir):
+    # d4_mod_refl is residually thin and sigma-solvable but not
+    # {3}-valenced, so the constructive search refuses with that reason.
+    path = str(fixtures_dir / "d4_mod_refl.hg")
+    argv = ("hall", path, "--pi", "{3}", "--constructive")
+    assert run(capsys, *argv) == (1, "\n".join([
+        "is_residually_thin: yes",
+        "is_sigma_solvable: yes",
+        "is_pi_valenced: no",
+        "radical: (none)",
+        "hall subset: (none)",
+        "note: constructive Hall search refused [not Pi-valenced]",
+    ]) + "\n", "")
+    code, out, err = run(capsys, *argv, "--machine")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "command": "hall",
+        "flags": {"is_pi_valenced": False, "is_residually_thin": True,
+                  "is_sigma_solvable": True},
+        "hall_subset": None,
+        "mode": "constructive",
+        "note": "constructive Hall search refused [not Pi-valenced]",
+        "radical": None,
+    }
+
+
+def test_internal_error_exits_one(capsys, fixtures_dir, monkeypatch):
+    # A package error that is not an input error ends in exit 1, with one
+    # error line on stderr and nothing on stdout.
+    def broken(*args):
+        raise InternalConsistencyError("induced table broke")
+
+    monkeypatch.setattr(cli, "verify_hall", broken)
+    code, out, err = run(capsys, "verify", str(fixtures_dir / "s3.cayley"),
+                         "--pi", "{2}")
+    assert (code, out, err) == (1, "", "error: induced table broke\n")
 
 
 def test_hall_a5_exit_one(capsys, fixtures_dir):

@@ -17,8 +17,6 @@ from hypergroups import (
     complex_product,
     double_cosets,
     is_closed,
-    is_normal,
-    is_strongly_normal,
     lift,
     mask_of,
     members,
@@ -46,6 +44,10 @@ K2_TABLE = [[{0}, {1}], [{1}, {0, 1}]]
 IDENT_STAR = [0, 1]
 
 
+def _axioms(report):
+    return [v.axiom for v in report.violations]
+
+
 def test_c2_and_k2_are_valid():
     assert validate(C2_TABLE, IDENT_STAR).valid
     assert validate(K2_TABLE, IDENT_STAR).valid
@@ -55,7 +57,7 @@ def test_k2_broken_product_is_h3():
     bad = [[{0}, {1}], [{1}, {1}]]
     report = validate(bad, IDENT_STAR)
     assert not report.valid
-    assert "H3" in report.axioms()
+    assert "H3" in _axioms(report)
 
 
 @pytest.mark.parametrize("pos,value,axiom", [
@@ -69,7 +71,7 @@ def test_k2_single_entry_mutations_name_the_axiom(pos, value, axiom):
     table[pos[0]][pos[1]] = value
     report = validate(table, IDENT_STAR)
     assert not report.valid
-    assert axiom in report.axioms()
+    assert axiom in _axioms(report)
 
 
 def test_every_k2_mutation_matches_naive_oracle():
@@ -85,7 +87,7 @@ def test_every_k2_mutation_matches_naive_oracle():
                 report = validate(table, IDENT_STAR)
                 oracle = naive_axioms(table, IDENT_STAR)
                 assert report.valid == (not oracle)
-                assert set(report.axioms()) <= oracle
+                assert set(_axioms(report)) <= oracle
 
 
 def test_validator_agrees_with_oracle_on_corpus(corpus):
@@ -116,9 +118,9 @@ def test_star_violation_reported():
     table = [[{0}, {1}, {2}], [{1}, {2}, {0}], [{2}, {0}, {1}]]
     report = validate(table, [0, 1, 2])  # star should swap 1 and 2 in c3
     assert not report.valid
-    assert "H3" in report.axioms()
+    assert "H3" in _axioms(report)
     report2 = validate(table, [1, 2, 0])
-    assert "STAR" in report2.axioms()
+    assert "STAR" in _axioms(report2)
 
 
 def test_invalid_table_raises_on_construction():
@@ -149,6 +151,14 @@ def test_rank_cap_copy_shares_the_table_and_not_the_store(monkeypatch):
         closed_subsets(narrow)
     with pytest.raises(RankCapError):
         closed_subsets(a5)
+
+
+def test_instances_compare_by_identity():
+    # A copy under another cap has the same table but refuses differently,
+    # so it is a different hypergroup.
+    h = fx.sym3()
+    assert h.with_rank_cap(h.rank_cap + 1) != h
+    assert len({h, h.with_rank_cap(h.rank_cap), h}) == 2
 
 
 def test_complex_product_examples(corpus):
@@ -351,12 +361,12 @@ def test_validate_matches_triple_scan_on_mutated_tables(corpus, monkeypatch):
     monkeypatch.setattr(core, "_associativity_witness", naive_associativity_witness)
     want = [validate(t, s) for t, s in cases]
     assert got == want
-    h1 = sum("H1" in r.axioms() for r in got)
+    h1 = sum("H1" in _axioms(r) for r in got)
     assert 0 < h1 < len(got)
-    assert any(not r.valid and "H1" not in r.axioms() for r in got)
+    assert any(not r.valid and "H1" not in _axioms(r) for r in got)
     thin_got = got[-len(thin_cases):]
     assert any(r.valid for r in thin_got)
-    assert any("H1" in r.axioms() for r in thin_got)
+    assert any("H1" in _axioms(r) for r in thin_got)
 
 
 def test_construction_normalizes_once(monkeypatch):
@@ -422,13 +432,8 @@ def _subset_arguments():
         ("section_quotient G", n, lambda x: section_quotient(s3, 1, x)),
         ("lift", qm.quotient.rank, lambda x: lift(qm, x)),
         ("valency_of", n, lambda x: valency_of(s3, x)),
-        ("is_normal E", n, lambda x: is_normal(s3, x, s3.full)),
-        ("is_normal F", n, lambda x: is_normal(s3, 1, x)),
-        ("is_strongly_normal E", n, lambda x: is_strongly_normal(s3, x, s3.full)),
-        ("is_strongly_normal F", n, lambda x: is_strongly_normal(s3, 1, x)),
         ("are_conjugate S", n, lambda x: are_conjugate(s3, x, a3)),
         ("are_conjugate T", n, lambda x: are_conjugate(s3, a3, x)),
-        ("QuotientMap.project_set", n, lambda x: qm.project_set(x)),
     ]
 
 
@@ -468,4 +473,4 @@ def test_quotient_does_not_recheck_masks(monkeypatch):
     monkeypatch.setattr(FiniteHypergroup, "subset", counting)
     assert quotient(s4, f).quotient.rank == 7
     assert len(calls) == 4
-    assert f.bit_count() == 2 and not is_normal(s4, f, s4.full)
+    assert f.bit_count() == 2 and (f, s4.full) not in closed_subsets(s4).normal_in

@@ -18,7 +18,6 @@ from hypergroups import (
     is_residually_thin,
     is_sigma_solvable,
     is_solvable,
-    is_strongly_normal,
     is_thin,
     mask_of,
     members,
@@ -190,7 +189,7 @@ def test_pi_radical_properties(corpus):
             for u in subnormal_closed_subsets(h):
                 if is_pi_number(valency_of(h, u), SMALLEST, pi):
                     assert u & ~rad == 0
-            assert is_strongly_normal(h, rad, h.full)
+            assert (rad, h.full) in closed_subsets(h).strongly_normal_in
             assert is_thin(quotient(h, rad).quotient)
 
 

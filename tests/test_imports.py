@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, and every
-top-level definition of a package module is used somewhere, by the package
-itself or the benchmark and not only by the tests.
+top-level definition and class member of a package module is used
+somewhere, by the package itself or the benchmark and not only by the tests.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules, over
 every module of src/hypergroups except the package __init__, whose imports
@@ -82,10 +82,6 @@ def test_every_definition_is_used():
     assert not dead, f"definitions used nowhere: {', '.join(dead)}"
 
 
-# Public for symmetry with is_normal, though nothing but the tests reads it.
-READ_ONLY_BY_TESTS = {("lattice.py", "is_strongly_normal")}
-
-
 def test_every_definition_is_read_by_the_package_or_the_benchmark():
     # The library is what the pipeline reads. The roots are what bench/,
     # the console entry point, fixtures.py (the inputs of the benchmark and
@@ -117,8 +113,7 @@ def test_every_definition_is_read_by_the_package_or_the_benchmark():
                 unread.remove(entry)
                 named |= set(_mentions(entry[2]))
                 grew = True
-    dead = [f"{module}:{node.lineno} {name}" for module, name, node in unread
-            if (module, name) not in READ_ONLY_BY_TESTS]
+    dead = [f"{module}:{node.lineno} {name}" for module, name, node in unread]
     assert not dead, f"definitions only tests read: {', '.join(dead)}"
 
 
@@ -157,11 +152,11 @@ def test_only_valency_refuses_undefined_valency():
 
 def test_every_member_is_read():
     # Every method, property and annotated field of a package class is read
-    # as an attribute (x.name) somewhere in the package, the tests or the
-    # benchmark. A keyword in a constructor call writes a field; it does not
-    # read it.
+    # as an attribute (x.name) somewhere in the package or the benchmark;
+    # reads in tests do not count. A keyword in a constructor call writes a
+    # field; it does not read it.
     reads = set()
-    for path in [*PACKAGE.glob("*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]:
+    for path in [*PACKAGE.glob("*.py"), *ROOT.glob("bench/*.py")]:
         reads |= {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = []
@@ -178,4 +173,4 @@ def test_every_member_is_read():
                     continue
                 if not (name.startswith("__") and name.endswith("__")) and name not in reads:
                     unread.append(f"{path.name}:{node.lineno} {cls.name}.{name}")
-    assert not unread, f"members read nowhere: {', '.join(unread)}"
+    assert not unread, f"members only tests read: {', '.join(unread)}"

@@ -1,14 +1,11 @@
 import pytest
 
 from hypergroups import (
-    PreconditionError,
     RankCapError,
     closed_subsets,
     closure,
     complex_product,
     is_closed,
-    is_normal,
-    is_strongly_normal,
     mask_of,
     members,
     subnormal_closed_subsets,
@@ -175,16 +172,16 @@ def test_relations_match_the_naive_pairs(corpus, group_quotients):
 
 
 def test_public_predicates_agree_with_the_lattice(corpus, group_quotients):
-    # is_normal and is_strongly_normal reach the kernel directly, the
-    # lattice through orbit carrying; both must give the same pairs.
+    # The normality kernel on every pair directly, against the lattice,
+    # which reaches thin F through their generators and carries each pair
+    # across its orbit; both must give the same pairs.
     for h in [*corpus.values(), *group_quotients.values()]:
         lat = closed_subsets(h)
         for e in lat.subsets:
             for f in lat.subsets:
                 if not e & ~f:
-                    assert is_normal(h, e, f) == ((e, f) in lat.normal_in)
-                    assert (is_strongly_normal(h, e, f)
-                            == ((e, f) in lat.strongly_normal_in))
+                    assert lattice._normality(h, e, f) == (
+                        (e, f) in lat.normal_in, (e, f) in lat.strongly_normal_in)
 
 
 def test_a5_relations_share_each_product(monkeypatch):
@@ -238,32 +235,33 @@ def test_strongly_normal_subsets_contain_the_thin_residue(corpus):
     table, star = sets_of(s3)
     refl = closure(s3, [fx.involutions(s3)[0]])
     assert naive_thin_residue(table, star, range(s3.rank)) == {0}
-    assert not is_strongly_normal(s3, refl, s3.full)
-    assert not is_normal(s3, refl, s3.full)
+    assert (refl, s3.full) not in closed_subsets(s3).normal_in
 
 
 def test_normality_examples(corpus):
     s3 = corpus["s3"]
     a3 = _a3(s3)
     refl = closure(s3, [fx.involutions(s3)[0]])
-    assert is_normal(s3, 1, s3.full)
-    assert is_normal(s3, a3, s3.full)
-    assert not is_normal(s3, refl, s3.full)
-    with pytest.raises(PreconditionError):
-        is_normal(s3, s3.full, a3)
+    normal = closed_subsets(s3).normal_in
+    assert (1, s3.full) in normal
+    assert (a3, s3.full) in normal
+    assert (refl, s3.full) not in normal
+    # Only pairs of closed subsets, the first inside the second.
+    assert (s3.full, a3) not in normal
     rot = next(s for s in range(1, 6) if fx.element_order(s3, s) == 3)
     assert not is_closed(s3, mask_of([0, rot]))
-    with pytest.raises(PreconditionError):
-        is_normal(s3, mask_of([0, rot]), s3.full)
+    assert all(mask_of([0, rot]) not in pair for pair in normal)
 
 
 def test_strong_normality_examples(corpus):
     s3, k2 = corpus["s3"], corpus["k2"]
     a3 = _a3(s3)
-    assert is_strongly_normal(s3, a3, a3)
-    assert is_strongly_normal(s3, a3, s3.full)
-    assert not is_strongly_normal(k2, 1, k2.full)
-    assert is_normal(k2, 1, k2.full)
+    strong = closed_subsets(s3).strongly_normal_in
+    assert (a3, a3) in strong
+    assert (a3, s3.full) in strong
+    k2_lat = closed_subsets(k2)
+    assert (1, k2.full) not in k2_lat.strongly_normal_in
+    assert (1, k2.full) in k2_lat.normal_in
 
 
 def test_subnormal_examples(corpus):
@@ -280,7 +278,7 @@ def test_subnormal_examples(corpus):
         assert chain is not None
         assert chain[0] == c and chain[-1] == d4.full
         for lo, hi in zip(chain, chain[1:]):
-            assert is_normal(d4, lo, hi)
+            assert lattice._normality(d4, lo, hi)[0]
 
 
 def test_product_closed_examples(corpus):
@@ -326,7 +324,7 @@ def test_intersection_preserves_strong_normality(small_corpus):
         lat = closed_subsets(h)
         for c, d in lat.strongly_normal_in:
             for f in lat.subsets:
-                assert is_strongly_normal(h, c & f, d & f)
+                assert (c & f, d & f) in lat.strongly_normal_in
 
 
 def test_normal_product_preserves_strong_normality(small_corpus):
@@ -340,7 +338,7 @@ def test_normal_product_preserves_strong_normality(small_corpus):
                 ec = complex_product(h, e, c)
                 ed = complex_product(h, e, d)
                 assert is_closed(h, ec) and is_closed(h, ed)
-                assert is_strongly_normal(h, ec, ed)
+                assert (ec, ed) in lat.strongly_normal_in
 
 
 def test_product_with_normal_preserves_subnormality(small_corpus):
