@@ -64,7 +64,6 @@ from .lattice import ClosedSubsetLattice, closed_subsets
 from .quotient import (
     QuotientMap,
     double_cosets,
-    lift,
     quotient,
     section_quotient,
 )

@@ -18,12 +18,13 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 
-from .bitset import bits
+from .bitset import bits, mask_of, subset_key
 from .core import (
     Chain,
     FiniteHypergroup,
     cached,
     complex_product,
+    double_cosets_in,
     is_closed,
     thin_elements,
 )
@@ -33,7 +34,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .lattice import climb, closed_subsets
-from .quotient import lift, quotient
+from .quotient import quotient
 from .sigma import (
     PiSelection,
     PrimePartition,
@@ -181,14 +182,16 @@ def hall_subset_constructive(H: FiniteHypergroup, sigma: PrimePartition,
                              pi: PiSelection) -> int:
     """Build a Hall Pi-subset through the radical.
 
-    Route: quotient over the Pi-radical is a thin, sigma-solvable
+    Route: the quotient over the Pi-radical R is a thin, sigma-solvable
     hypergroup, hence a group; scan its subgroups exhaustively for a Hall
-    Pi-subgroup, then pull the subgroup back through the block bijection.
-    Refuses with diagnostics when the stored hypothesis facts fail. A
-    missing Hall subgroup in the quotient group or a bad lifted result,
-    which the guaranteed regime excludes, raises SearchExhaustedError;
-    verify_hall keeps it as constructive_note, and `hall --constructive`
-    prints that and exits 1. pi_radical has checked the quotient is thin.
+    Pi-subgroup, in H's own lattice (see quotient): each closed C over R
+    is the subgroup named by the mask of the blocks of H//R it holds,
+    scanned in H//R's lattice order. Refuses with diagnostics when the
+    stored hypothesis facts fail. A missing Hall subgroup in the quotient
+    group or a C that is not a Hall Pi-subset, which the guaranteed regime
+    excludes, raises SearchExhaustedError; verify_hall keeps it as
+    constructive_note, and `hall --constructive` prints that and exits 1.
+    pi_radical has checked the quotient is thin.
     """
     if rt_chain(H) is None:
         raise HypothesisViolationError("constructive Hall search refused",
@@ -201,22 +204,23 @@ def hall_subset_constructive(H: FiniteHypergroup, sigma: PrimePartition,
     if problems:
         raise HypothesisViolationError("constructive Hall search refused",
                                        tuple(problems))
-    qm = quotient(H, pi_radical(H, sigma, pi))
-    q = qm.quotient
-    n_q = q.rank
-    for c in closed_subsets(q).subsets:
-        size = c.bit_count()
+    r = pi_radical(H, sigma, pi)
+    blocks = double_cosets_in(H, r, H.full)
+    n_q = len(blocks)
+    named = {c: mask_of(i for i, b in enumerate(blocks) if b & c)
+             for c in closed_subsets(H).subsets if not r & ~c}
+    for c in sorted(named, key=lambda c: subset_key(named[c])):
+        size = named[c].bit_count()
         if n_q % size:
             raise InternalConsistencyError("subgroup order must divide")
         if is_pi_number(size, sigma, pi) and \
                 is_pi_complement_number(n_q // size, sigma, pi):
-            lifted = lift(qm, c)
-            n_l = valency_of(H, lifted)
-            if not is_pi_number(n_l, sigma, pi) or \
-                    not is_pi_complement_number(valency(H) // n_l, sigma, pi):
+            n_c = valency_of(H, c)
+            if not is_pi_number(n_c, sigma, pi) or \
+                    not is_pi_complement_number(valency(H) // n_c, sigma, pi):
                 raise SearchExhaustedError(
-                    "lifted subset is not a Hall Pi-subset")
-            return lifted
+                    "subset found is not a Hall Pi-subset")
+            return c
     raise SearchExhaustedError(
         "no Hall Pi-subgroup in the thin quotient; input outside the "
         "guaranteed regime")
@@ -361,30 +365,15 @@ def solvability_suite(H: FiniteHypergroup,
     solvable; and under the smallest partition, residually thin
     sigma-solvability coincides with the prime-step chain notion.
 
-    Whether H//E is sigma-solvable is decided once per orbit of closed
-    subsets under thin conjugation, on the quotient over the orbit's
-    representative (lat.representative), and carried to every member E of
-    the orbit; each case keeps its own label. This is exact. Let phi be a
-    thin conjugation, an automorphism of H (closed_subsets proves it), and
-    let phi(E) = E'. Then phi(E h E) = E' phi(h) E', so phi maps the blocks
-    of H//E onto those of H//E', and, as phi(a E b) = phi(a) E' phi(b), the
-    product of two blocks onto the product of their images. So H//E and
-    H//E' are isomorphic, and sigma-solvability, defined by chains with
-    thin steps and single-class step orders, is preserved by isomorphism.
-    The quotients of one orbit also share their rank, so a refusal by the
-    rank cap is the same for each member.
+    H//E is sigma-solvable iff H has a sigma-chain from E to the full set
+    (see quotient), so no quotient is built.
     """
     lat = closed_subsets(H)
     h_solv = is_sigma_solvable(H, sigma)
     solv_lat = lat.subsets if h_solv else ()
-    answers: dict[int, bool] = {}
 
     def solvable_quotient(e):
-        rep = lat.representative[e]
-        if rep not in answers:
-            answers[rep] = is_sigma_solvable(
-                quotient(H, rep).quotient, sigma)
-        return answers[rep]
+        return thin_chain(H, H.full, sigma, e) is not None
 
     def check(name, cases):
         # Every (label, ok) case is an applicable instance; a case that is
@@ -403,7 +392,6 @@ def solvability_suite(H: FiniteHypergroup,
         check("quotients_by_subnormal_inherit_solvability",
               ((f"quotient over subnormal {list(bits(d))}", solvable_quotient(d))
                for d in (subnormal_closed_subsets(H) if h_solv else ()))),
-        # No quotient is built unless the closed subset itself is solvable.
         check("solvable_part_and_quotient_force_solvability",
               ((f"assembled through {list(bits(e))}", h_solv)
                for e in lat.subsets

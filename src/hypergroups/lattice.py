@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bitset import bits, members, subset_key
 from .core import (
@@ -25,16 +25,11 @@ class ClosedSubsetLattice:
     normality of E in F means E h is inside h E for every h in F;
     strongly_normal_in is the sub-relation with h* E h inside E instead.
     Both relations include the reflexive pairs (E, E), which always hold.
-    representative maps each closed subset to the one member of its orbit
-    under thin conjugation that the enumeration extended (see
-    closed_subsets); a representative maps to itself. It is the orbit map
-    the enumeration built, kept out of equality, hashing and repr.
     """
 
     subsets: tuple[int, ...]
     normal_in: frozenset[tuple[int, int]]
     strongly_normal_in: frozenset[tuple[int, int]]
-    representative: dict[int, int] = field(compare=False, hash=False, repr=False)
 
 
 def _normality(H, E, F) -> tuple[bool, bool]:
@@ -220,8 +215,7 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
                     strong.add(pair)
     return ClosedSubsetLattice(
         subsets=subsets, normal_in=frozenset(normal),
-        strongly_normal_in=frozenset(strong),
-        representative={m: rep for m, (rep, _) in rep_of.items()})
+        strongly_normal_in=frozenset(strong))
 
 
 def climb(H: FiniteHypergroup, pairs, bottom: int, top: int, step_ok=None):

@@ -1,4 +1,4 @@
-"""Double cosets, quotient hypergroups, section quotients and subset lifting."""
+"""Double cosets, quotient hypergroups and section quotients."""
 
 from __future__ import annotations
 
@@ -53,6 +53,20 @@ def quotient(H: FiniteHypergroup, F) -> QuotientMap:
     The product of two blocks is the set of blocks met by a F b for block
     representatives a and b. The induced table is re-validated defensively;
     a failure indicates an implementation bug, not a property of the input.
+
+    The lattice of H//F is read in H's own lattice, from F upward (the
+    correspondence theorem; P.-H. Zieschang, Theory of Association
+    Schemes, 2005, ch. 4). The closed subsets of H//F are the sets of
+    blocks inside a closed D containing F, and D is their union. The union
+    of the blocks a set S meets is F S F, so the product of the blocks
+    F a F and F b F lifts to F a F b F. Let D' and G' be closed in H//F,
+    lifting to D and G, and h' = F h F a block inside G'. Then h'* D' h'
+    lifts to F h* F D F h F = F h* D h F, as F D F = D, and this lies in D
+    iff h* D h does. So D' is strongly normal in G' (a thin step) iff D is
+    in G. The blocks D' h' D' lift to the sets D h D, so both steps have
+    the same order. Hence H//F has a thin chain from its identity whose
+    step orders pass a rule iff H has one from F, with the same orders:
+    valency.thin_chain with bottom F.
     """
     fm = H.subset(F)
     return cached(H, ("quotient", fm), lambda: _build_quotient(H, fm))
@@ -82,23 +96,6 @@ def _build_quotient(H: FiniteHypergroup, fm: int) -> QuotientMap:
         raise InternalConsistencyError(
             f"induced quotient table failed validation: {exc}") from exc
     return QuotientMap(base=H, blocks=blocks, quotient=q)
-
-
-def lift(Q: QuotientMap, E_bar) -> int:
-    """Union of the blocks named by a closed subset of the quotient.
-
-    Inverse direction of the bijection between closed subsets of the
-    quotient and closed subsets of the base containing the modulus.
-    """
-    bm = Q.quotient.subset(E_bar)
-    if not is_closed(Q.quotient, bm):
-        raise PreconditionError("lift requires a closed subset of the quotient")
-    out = 0
-    for i in bits(bm):
-        out |= Q.blocks[i]
-    if not is_closed(Q.base, out):
-        raise InternalConsistencyError("lift of a closed subset is not closed")
-    return out
 
 
 def section_quotient(H: FiniteHypergroup, E, G) -> QuotientMap:

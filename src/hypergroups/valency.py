@@ -1,11 +1,12 @@
 """Thinness, residually thin chains and valencies.
 
 Every chain here comes from one search, lattice.climb over the strongly
-normal pairs: closed subsets from the identity subset up to a closed top,
-each step quotient thin (lo is strongly normal in hi). thin_chain takes the
-first whose step orders pass a rule. To the full set it witnesses residual
-thinness, to a closed C its step orders multiply to the valency of C, and
-its rules give hall's sigma-solvable and solvable chains."""
+normal pairs: closed subsets from a closed bottom, the identity subset
+unless a caller names another, up to a closed top, each step quotient thin
+(lo is strongly normal in hi). thin_chain takes the first whose step
+orders pass a rule. To the full set it witnesses residual thinness, to a
+closed C its step orders multiply to the valency of C, and its rules give
+hall's sigma-solvable and solvable chains."""
 
 from __future__ import annotations
 
@@ -22,24 +23,27 @@ from .lattice import climb, closed_subsets
 from .sigma import is_prime, spans_single_class
 
 
-def thin_chain(H: FiniteHypergroup, top: int, rule=None) -> Chain | None:
-    """Chain {0} = C0 < ... < Ck = top with thin steps, or None.
+def thin_chain(H: FiniteHypergroup, top: int, rule=None,
+               bottom: int = 1) -> Chain | None:
+    """Chain bottom = C0 < ... < Ck = top with thin steps, or None.
 
     rule restricts the step orders, the numbers of double cosets of Ci in
     Ci+1: None admits every order, a PrimePartition the orders whose prime
     divisors lie in one of its classes, and is_prime the prime orders. None
-    is returned only after an exhaustive search. Memoized per (top, rule).
+    is returned only after an exhaustive search. From a closed bottom E
+    to the full set it is a chain of H//E from its identity (see
+    quotient). Memoized per (bottom, top, rule).
     """
     def order_ok(lo, hi):
         n = len(double_cosets_in(H, lo, hi))
         return is_prime(n) if rule is is_prime else spans_single_class(n, rule)
 
     def compute():
-        path = next(climb(H, closed_subsets(H).strongly_normal_in, 1, top,
+        path = next(climb(H, closed_subsets(H).strongly_normal_in, bottom, top,
                           None if rule is None else order_ok), None)
         return Chain(H, path) if path else None
 
-    return cached(H, ("chain", top, rule), compute)
+    return cached(H, ("chain", bottom, top, rule), compute)
 
 
 def is_thin(H: FiniteHypergroup) -> bool:

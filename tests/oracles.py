@@ -3,8 +3,10 @@
 Everything here works on plain python sets and integer Cayley tables, not
 on the package's bitmask representation, and recomputes results by direct
 enumeration so the main code paths are checked against a second route. The
-one exception is naive_solvability_suite, which asks the package's own
-sigma-solvability test about every quotient and sub-hypergroup separately.
+two exceptions are naive_solvability_suite, which asks the package's own
+sigma-solvability test about every quotient and sub-hypergroup separately,
+and naive_hall_constructive, which searches the quotient over the
+Pi-radical in that quotient's own lattice.
 """
 
 from __future__ import annotations
@@ -295,6 +297,30 @@ def naive_solvability_suite(H, sigma):
                 is_sigma_solvable(H, SMALLEST) == is_solvable(H))]
               if is_residually_thin(H) else []),
     ))
+
+
+def naive_hall_constructive(H, sigma, pi):
+    """The constructive Hall subset by the quotient route: build the
+    quotient over the Pi-radical, take the first closed subset of its own
+    lattice with Pi-number size and complement-number index, and return
+    the union of its blocks; None when there is none."""
+    from hypergroups import (
+        closed_subsets,
+        is_pi_complement_number,
+        is_pi_number,
+        members,
+        pi_radical,
+        quotient,
+    )
+
+    qm = quotient(H, pi_radical(H, sigma, pi))
+    n = qm.quotient.rank
+    for c in closed_subsets(qm.quotient).subsets:
+        size = c.bit_count()
+        if is_pi_number(size, sigma, pi) and \
+                is_pi_complement_number(n // size, sigma, pi):
+            return sum(qm.blocks[i] for i in members(c))
+    return None
 
 
 # ---------------------------------------------------------------------------

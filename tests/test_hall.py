@@ -3,9 +3,11 @@ import importlib
 import pytest
 
 from hypergroups import (
+    Chain,
     FiniteHypergroup,
     HypothesisViolationError,
     SMALLEST,
+    SearchExhaustedError,
     ValencyUndefinedError,
     are_conjugate,
     closed_subsets,
@@ -15,6 +17,7 @@ from hypergroups import (
     hall_subsets_enumerated,
     is_pi_number,
     is_pi_valenced,
+    is_prime,
     is_residually_thin,
     is_sigma_solvable,
     is_solvable,
@@ -41,7 +44,12 @@ from hypergroups import fixtures as fx
 from hypergroups import hall
 from hypergroups.cli import main
 
-from oracles import naive_solvability_suite, naive_subnormal, sets_of
+from oracles import (
+    naive_hall_constructive,
+    naive_solvability_suite,
+    naive_subnormal,
+    sets_of,
+)
 
 quotient_module = importlib.import_module("hypergroups.quotient")
 
@@ -362,10 +370,10 @@ def test_solvability_suite_counts(corpus):
 
 
 def test_solvability_suite_matches_the_oracle(corpus, groups):
-    # The suite decides each quotient once per orbit of thin conjugation
-    # and carries the answer to the orbit; the oracle builds and decides
-    # every quotient. The reports agree on the corpus, every G//K of the
-    # groups, and A5, under the smallest and a coarse partition.
+    # The suite reads each quotient H//E as a chain of H from E; the oracle
+    # builds and decides every quotient. The reports agree on the corpus,
+    # every G//K of the groups, and A5, under the smallest and a coarse
+    # partition.
     inputs = [*corpus.values(),
               *(quotient(g, k).quotient for g in groups.values()
                 for k in closed_subsets(g).subsets),
@@ -376,12 +384,54 @@ def test_solvability_suite_matches_the_oracle(corpus, groups):
                 (h.name, str(sig))
 
 
-def test_a5_verify_builds_one_suite_quotient_per_orbit(monkeypatch, capsys,
-                                                       fixtures_dir):
-    # One verify of A5 builds the quotients over the representatives of
-    # the 8 classes of proper subgroups, the quotient over {0} among them,
-    # which the Pi-valenced check reads too; one quotient per proper
-    # subgroup made 58.
+def _quotient_inputs(corpus, groups):
+    """The corpus, every G//K of the groups, and A5."""
+    return [*corpus.values(),
+            *(quotient(g, k).quotient for g in groups.values()
+              for k in closed_subsets(g).subsets),
+            fx.alt5().with_rank_cap(60)]
+
+
+def test_quotient_chains_are_read_from_the_modulus(corpus, groups):
+    # H//E has a thin chain under a rule iff H has one from E, and both
+    # multiply to the same order (the correspondence proved in quotient's
+    # docstring): the suite's route against the quotient built and
+    # searched on its own.
+    rules = (None, SMALLEST, parse_partition("2|3,5"), is_prime)
+    for h in _quotient_inputs(corpus, groups):
+        for e in closed_subsets(h).subsets:
+            q = quotient(h, e).quotient
+            for rule in rules:
+                here = hall.thin_chain(h, h.full, rule, e)
+                there = hall.thin_chain(q, q.full, rule)
+                assert (here is None) == (there is None), (h.name, e, rule)
+                if here is not None:
+                    assert here.order_product == there.order_product, \
+                        (h.name, e, rule)
+
+
+def test_hall_constructive_matches_the_quotient_route(corpus, groups):
+    # The closed subsets over the radical, scanned in H's own lattice, give
+    # the Hall subset that scanning the quotient over the radical does.
+    coarse = parse_partition("2|3,5")
+    cases = [(SMALLEST, _sel("{2}")), (SMALLEST, _sel("{3}")),
+             (coarse, _sel("0", coarse)), (coarse, _sel("1", coarse))]
+    found = 0
+    for h in _quotient_inputs(corpus, groups):
+        for sig, pi in cases:
+            try:
+                got = hall_subset_constructive(h, sig, pi)
+            except (HypothesisViolationError, SearchExhaustedError):
+                continue
+            assert got == naive_hall_constructive(h, sig, pi), (h.name, str(sig))
+            found += 1
+    assert found
+
+
+def test_a5_verify_builds_only_the_quotient_over_the_identity(
+        monkeypatch, capsys, fixtures_dir):
+    # One verify of A5 builds A5//{0}, which the Pi-valenced check reads;
+    # the suite reads every quotient in A5's own lattice.
     built = []
     real = quotient_module._build_quotient
 
@@ -393,7 +443,7 @@ def test_a5_verify_builds_one_suite_quotient_per_orbit(monkeypatch, capsys,
     main(["verify", str(fixtures_dir / "a5.cayley"), "--rank-cap", "60",
           "--sigma", "smallest", "--pi", "{2}", "--machine"])
     capsys.readouterr()
-    assert 0 < len(built) <= 9
+    assert built == [1]
 
 
 def test_smallest_partition_agreement_on_rt_corpus(corpus):
@@ -408,9 +458,10 @@ def _fresh_s3():
     return FiniteHypergroup(s3.table, s3.star, name="s3")
 
 
-def _suite_rows(monkeypatch, name, fn):
+def _suite_rows(monkeypatch, **fakes):
     with monkeypatch.context() as m:
-        m.setattr(hall, name, fn)
+        for name, fn in fakes.items():
+            m.setattr(hall, name, fn)
         report = solvability_suite(_fresh_s3(), SMALLEST)
     return [(c.name, c.applicable, c.violations) for c in report.checks]
 
@@ -418,15 +469,25 @@ def _suite_rows(monkeypatch, name, fn):
 def test_solvability_suite_reports_every_violation(monkeypatch):
     # Forced answers make each of the five checks report violations; the
     # labels, counts and order were recorded before the checks shared one
-    # pattern.
+    # pattern. The suite asks whether H//E is solvable as a chain of H
+    # from E, the only call that names a bottom.
     real_chain = hall.thin_chain
-    quotients_fail = _suite_rows(monkeypatch, "is_sigma_solvable",
-                                 lambda h, s: "//" not in h.name)
-    only_quotients = _suite_rows(monkeypatch, "is_sigma_solvable",
-                                 lambda h, s: "//" in h.name)
+
+    def quotients_answer(solvable):
+        # A solvable quotient is answered by a forced one-step chain.
+        def chain(h, top, rule=None, bottom=None):
+            if bottom is None:
+                return real_chain(h, top, rule)
+            return Chain(h, (bottom, top)) if solvable else None
+        return chain
+
+    quotients_fail = _suite_rows(monkeypatch, thin_chain=quotients_answer(False))
+    only_quotients = _suite_rows(monkeypatch, thin_chain=quotients_answer(True),
+                                 is_sigma_solvable=lambda h, s: False)
     no_chains_below_top = _suite_rows(
-        monkeypatch, "thin_chain",
-        lambda h, top, rule=None: real_chain(h, top, rule) if top == h.full else None)
+        monkeypatch,
+        thin_chain=lambda h, top, rule=None, bottom=1:
+            real_chain(h, top, rule, bottom) if top == h.full else None)
     assert quotients_fail == [
         ("closed_subsets_inherit_solvability", 6, ()),
         ("quotients_by_normal_inherit_solvability", 3, (
@@ -467,7 +528,7 @@ def test_verify_hall_scans_pi_subsets_once(monkeypatch):
     # enumeration (its covalencies included) and the containment check all
     # read. s3 makes 13 calls: 6 in the scan, one per closed subset; 6 for
     # the thin closed product sets of the quotient over {0}; 1 for the
-    # lifted Hall subset.
+    # Hall subset the constructive search finds.
     calls = []
     real = hall.valency_of
 

@@ -112,29 +112,12 @@ def test_s5_relations_come_from_thin_generators(monkeypatch):
     assert calls == []
 
 
-def test_representative_is_the_enumeration_orbit_map(corpus, group_quotients):
-    # Each closed subset maps to the member of its orbit under thin
-    # conjugation that the enumeration extended, and is that member's
-    # image under one of the conjugations. The map stays out of the
-    # lattice's repr.
-    for h in [*corpus.values(), *group_quotients.values()]:
-        lat = closed_subsets(h)
-        autos = conjugations(h).values()
-        assert sorted(lat.representative) == sorted(lat.subsets)
-        for m, rep in lat.representative.items():
-            assert rep in lat.subsets
-            assert lat.representative[rep] == rep
-            assert any(mask_of(a[x] for x in members(rep)) == m for a in autos)
-        assert "representative" not in repr(lat)
-
-
 def test_a5_and_s5_orbit_counts():
-    # A5's 59 subgroups fall into 9 conjugacy classes, S5's 156 into 19.
-    for h, size, classes in ((fx.alt5().with_rank_cap(60), 59, 9),
-                             (fx.sym5().with_rank_cap(120), 156, 19)):
-        lat = closed_subsets(h)
-        assert len(lat.subsets) == size
-        assert len(set(lat.representative.values())) == classes
+    # A5 has 59 subgroups and S5 156, each reached from one member of its
+    # conjugacy class.
+    for h, size in ((fx.alt5().with_rank_cap(60), 59),
+                    (fx.sym5().with_rank_cap(120), 156)):
+        assert len(closed_subsets(h).subsets) == size
 
 
 def test_thin_conjugations_are_automorphisms(corpus, group_quotients):
