@@ -81,7 +81,6 @@ from .sigma import (
 )
 from .valency import (
     is_residually_thin,
-    is_thin,
     rt_chain,
     valency,
     valency_of,

@@ -26,7 +26,7 @@ from .core import (
     complex_product,
     double_cosets_in,
     is_closed,
-    thin_elements,
+    star_set,
 )
 from .errors import (
     HypothesisViolationError,
@@ -34,7 +34,6 @@ from .errors import (
     SearchExhaustedError,
 )
 from .lattice import climb, closed_subsets
-from .quotient import quotient
 from .sigma import (
     PiSelection,
     PrimePartition,
@@ -44,7 +43,6 @@ from .sigma import (
     is_prime,
 )
 from .valency import (
-    is_thin,
     rt_chain,
     thin_chain,
     valency,
@@ -104,30 +102,32 @@ def pi_valenced_violation(H: FiniteHypergroup, sigma: PrimePartition,
                           pi: PiSelection) -> tuple[int, int] | None:
     """First witness (U, h) breaking the Pi-valenced condition, else None.
 
-    For each subnormal closed U of Pi-number valency and each block of the
-    quotient over U, the product of the starred block with the block must
-    have Pi-number size whenever it consists of thin elements. When such a
-    product set is itself closed, its valency is cross-checked against its
-    size and a mismatch is surfaced as an internal error. Stored per
-    (sigma, Pi).
+    For each subnormal closed U of Pi-number valency and each block b of
+    the quotient over U, the product b* b must have Pi-number size whenever
+    it consists of thin elements. When such a product set is itself closed,
+    its valency is cross-checked against its size and a mismatch is
+    surfaced as an internal error. Each b = U h U is read in H through the
+    lift U h* U h U of b* b (see quotient). Stored per (sigma, Pi).
     """
     def compute():
         subnormal = subnormal_closed_subsets(H)
         for u in _pi_subsets(H, sigma, pi):
             if u not in subnormal:
                 continue
-            qm = quotient(H, u)
-            q = qm.quotient
-            thin = thin_elements(q)
-            for b in range(q.rank):
-                s = q.table[q.star[b]][b]
+            blocks = double_cosets_in(H, u, H.full)
+            lifts = [complex_product(H, star_set(H, b), b) for b in blocks]
+            thin = sum(b for b, s in zip(blocks, lifts) if s == u)
+            for b, s in zip(blocks, lifts):
                 if s & ~thin:
                     continue
-                if not is_pi_number(s.bit_count(), sigma, pi):
-                    return (u, next(bits(qm.blocks[b])))
-                if is_closed(q, s) and valency_of(q, s) != s.bit_count():
-                    raise InternalConsistencyError(
-                        "thin closed product set with valency differing from size")
+                size = sum(1 for c in blocks if c & s)
+                if not is_pi_number(size, sigma, pi):
+                    return (u, next(bits(b)))
+                if is_closed(H, s):
+                    chain = thin_chain(H, s, None, u)
+                    if chain is None or chain.order_product != size:
+                        raise InternalConsistencyError(
+                            "thin closed product set with valency differing from size")
         return None
 
     return cached(H, ("pi_valenced", sigma, pi), compute)
@@ -146,7 +146,8 @@ def pi_radical(H: FiniteHypergroup, sigma: PrimePartition,
     violation when broken (which can only happen outside the residually
     thin Pi-valenced regime): it contains every subnormal closed Pi-subset,
     it is strongly normal in the full set, and the quotient over it is
-    thin. Stored per (sigma, Pi) once the guarantees hold.
+    thin, which holds iff it is strongly normal (see quotient), so one
+    test answers both. Stored per (sigma, Pi) once the guarantees hold.
     """
     def compute():
         subnormal = subnormal_closed_subsets(H)
@@ -159,9 +160,8 @@ def pi_radical(H: FiniteHypergroup, sigma: PrimePartition,
                 "no unique maximum: subnormal Pi-subset "
                 f"{list(bits(stragglers[0]))} escapes {list(bits(best))}")
         if (best, H.full) not in closed_subsets(H).strongly_normal_in:
-            problems.append("radical is not strongly normal in the full set")
-        if not is_thin(quotient(H, best).quotient):
-            problems.append("quotient over the radical is not thin")
+            problems += ["radical is not strongly normal in the full set",
+                         "quotient over the radical is not thin"]
         if problems:
             raise HypothesisViolationError(
                 "Pi-radical guarantees failed", tuple(problems))
@@ -191,7 +191,8 @@ def hall_subset_constructive(H: FiniteHypergroup, sigma: PrimePartition,
     group or a C that is not a Hall Pi-subset, which the guaranteed regime
     excludes, raises SearchExhaustedError; verify_hall keeps it as
     constructive_note, and `hall --constructive` prints that and exits 1.
-    pi_radical has checked the quotient is thin.
+    pi_radical has checked that R is strongly normal, so the quotient is
+    thin (see quotient).
     """
     if rt_chain(H) is None:
         raise HypothesisViolationError("constructive Hall search refused",

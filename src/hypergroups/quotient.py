@@ -35,15 +35,9 @@ def double_cosets(H: FiniteHypergroup, F) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class QuotientMap:
-    """A hypergroup quotient by a closed subset.
+    """A hypergroup quotient by a closed subset F, on the indices of the
+    blocks double_cosets(H, F); block 0 is F, the identity."""
 
-    blocks[i] is the i-th double coset (ordered by smallest member), and
-    the quotient is a hypergroup on the block indices. Block 0 is the
-    modulus itself and is the identity of the quotient.
-    """
-
-    base: FiniteHypergroup
-    blocks: tuple[int, ...]
     quotient: FiniteHypergroup
 
 
@@ -66,7 +60,11 @@ def quotient(H: FiniteHypergroup, F) -> QuotientMap:
     in G. The blocks D' h' D' lift to the sets D h D, so both steps have
     the same order. Hence H//F has a thin chain from its identity whose
     step orders pass a rule iff H has one from F, with the same orders:
-    valency.thin_chain with bottom F.
+    valency.thin_chain with bottom F. The block h' is thin iff h'* h' is
+    the identity block, iff its lift F h* F h F is F; h'* h' is the set of
+    blocks that F h* F h F meets. H//F is thin iff F is strongly normal in
+    H: the case D = F, G = H above, as {F} is strongly normal in H//F iff
+    every h'* h' is {F}.
     """
     fm = H.subset(F)
     return cached(H, ("quotient", fm), lambda: _build_quotient(H, fm))
@@ -95,7 +93,7 @@ def _build_quotient(H: FiniteHypergroup, fm: int) -> QuotientMap:
     except InvalidHypergroupError as exc:
         raise InternalConsistencyError(
             f"induced quotient table failed validation: {exc}") from exc
-    return QuotientMap(base=H, blocks=blocks, quotient=q)
+    return QuotientMap(quotient=q)
 
 
 def section_quotient(H: FiniteHypergroup, E, G) -> QuotientMap:

@@ -1,4 +1,4 @@
-"""Thinness, residually thin chains and valencies.
+"""Residually thin chains and valencies.
 
 Every chain here comes from one search, lattice.climb over the strongly
 normal pairs: closed subsets from a closed bottom, the identity subset
@@ -16,7 +16,6 @@ from .core import (
     cached,
     double_cosets_in,
     is_closed,
-    thin_elements,
 )
 from .errors import InternalConsistencyError, PreconditionError, ValencyUndefinedError
 from .lattice import climb, closed_subsets
@@ -44,18 +43,6 @@ def thin_chain(H: FiniteHypergroup, top: int, rule=None,
         return Chain(H, path) if path else None
 
     return cached(H, ("chain", bottom, top, rule), compute)
-
-
-def is_thin(H: FiniteHypergroup) -> bool:
-    """True iff every element is thin; a thin hypergroup is a group table."""
-    if thin_elements(H) != H.full:
-        return False
-    for row in H.table:
-        for entry in row:
-            if entry.bit_count() != 1:
-                raise InternalConsistencyError(
-                    "thin hypergroup with a non-singleton product")
-    return True
 
 
 def rt_chain(H: FiniteHypergroup) -> Chain | None:

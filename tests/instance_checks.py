@@ -9,12 +9,13 @@ isomorphism search the quotient checks compare tables with lives here too.
 from __future__ import annotations
 
 from hypergroups import (
+    InternalConsistencyError,
     bits,
     closed_subsets,
     complex_product,
+    double_cosets,
     is_closed,
     is_residually_thin,
-    is_thin,
     mask_of,
     members,
     quotient,
@@ -22,9 +23,22 @@ from hypergroups import (
     star_set,
     sub_hypergroup,
     subnormal_closed_subsets,
+    thin_elements,
     valency,
     valency_of,
 )
+
+
+def is_thin(H) -> bool:
+    """True iff every element is thin; a thin hypergroup is a group table."""
+    if thin_elements(H) != H.full:
+        return False
+    for row in H.table:
+        for entry in row:
+            if entry.bit_count() != 1:
+                raise InternalConsistencyError(
+                    "thin hypergroup with a non-singleton product")
+    return True
 
 
 def _element_profile(H, s: int):
@@ -108,15 +122,16 @@ def isomorphic(A, B) -> tuple[int, ...] | None:
     return phi
 
 
-def project(qm, s) -> int:
-    """Mask of the blocks of the quotient map qm that meet the subset s."""
-    return sum(1 << i for i, block in enumerate(qm.blocks) if block & s)
+def project(blocks, s) -> int:
+    """Mask of the blocks, a double_cosets tuple, that meet the subset s:
+    a subset of the quotient on those block indices."""
+    return sum(1 << i for i, block in enumerate(blocks) if block & s)
 
 
-def union_of_blocks(qm, ebar) -> int:
-    """Union of the blocks of the quotient map qm that the quotient subset
+def union_of_blocks(blocks, ebar) -> int:
+    """Union of the blocks, a double_cosets tuple, that the quotient subset
     ebar names: the inverse of project on closed subsets."""
-    return sum(qm.blocks[i] for i in members(ebar))
+    return sum(blocks[i] for i in members(ebar))
 
 
 def _normalizes(h, d, e) -> bool:
@@ -139,14 +154,14 @@ def strong_normality_descends_to_quotients(h):
     out = []
     lat = closed_subsets(h)
     for d in lat.subsets:
-        qm = quotient(h, d)
-        q = qm.quotient
+        blocks = double_cosets(h, d)
+        q = quotient(h, d).quotient
         q_strong = closed_subsets(q).strongly_normal_in
         for e in lat.subsets:
             if d & ~e:
                 continue
             if ((e, h.full) in lat.strongly_normal_in) != \
-                    ((project(qm, e), q.full) in q_strong):
+                    ((project(blocks, e), q.full) in q_strong):
                 out.append(f"{h.name}: pair {list(members(d))}, {list(members(e))}")
     return out
 
@@ -203,15 +218,15 @@ def closed_subset_bijection(h):
     out = []
     lat = closed_subsets(h)
     for f in lat.subsets:
-        qm = quotient(h, f)
+        blocks = double_cosets(h, f)
         over = [e for e in lat.subsets if f & ~e == 0]
-        q_closed = list(closed_subsets(qm.quotient).subsets)
+        q_closed = list(closed_subsets(quotient(h, f).quotient).subsets)
         if len(over) != len(q_closed):
             out.append(f"{h.name}: count mismatch over {list(members(f))}")
             continue
         for e in over:
-            ebar = project(qm, e)
-            if ebar not in q_closed or union_of_blocks(qm, ebar) != e:
+            ebar = project(blocks, e)
+            if ebar not in q_closed or union_of_blocks(blocks, ebar) != e:
                 out.append(f"{h.name}: round trip fails at {list(members(e))}")
     return out
 
@@ -226,8 +241,8 @@ def quotient_tower_isomorphism(h):
         for d in lat.subsets:
             if d & ~e:
                 continue
-            qd = quotient(h, d)
-            tower = quotient(qd.quotient, project(qd, e)).quotient
+            tower = quotient(quotient(h, d).quotient,
+                             project(double_cosets(h, d), e)).quotient
             if isomorphic(tower, he) is None:
                 out.append(f"{h.name}: tower fails ({list(members(d))}, "
                            f"{list(members(e))})")

@@ -3,10 +3,11 @@
 Everything here works on plain python sets and integer Cayley tables, not
 on the package's bitmask representation, and recomputes results by direct
 enumeration so the main code paths are checked against a second route. The
-two exceptions are naive_solvability_suite, which asks the package's own
+three exceptions are naive_solvability_suite, which asks the package's own
 sigma-solvability test about every quotient and sub-hypergroup separately,
-and naive_hall_constructive, which searches the quotient over the
-Pi-radical in that quotient's own lattice.
+naive_hall_constructive, which searches the quotient over the Pi-radical
+in that quotient's own lattice, and naive_pi_valenced_violation, which
+reads each quotient over a subnormal Pi-subset in its own table.
 """
 
 from __future__ import annotations
@@ -306,6 +307,7 @@ def naive_hall_constructive(H, sigma, pi):
     the union of its blocks; None when there is none."""
     from hypergroups import (
         closed_subsets,
+        double_cosets,
         is_pi_complement_number,
         is_pi_number,
         members,
@@ -313,13 +315,52 @@ def naive_hall_constructive(H, sigma, pi):
         quotient,
     )
 
-    qm = quotient(H, pi_radical(H, sigma, pi))
-    n = qm.quotient.rank
-    for c in closed_subsets(qm.quotient).subsets:
+    radical = pi_radical(H, sigma, pi)
+    blocks = double_cosets(H, radical)
+    q = quotient(H, radical).quotient
+    for c in closed_subsets(q).subsets:
         size = c.bit_count()
         if is_pi_number(size, sigma, pi) and \
-                is_pi_complement_number(n // size, sigma, pi):
-            return sum(qm.blocks[i] for i in members(c))
+                is_pi_complement_number(q.rank // size, sigma, pi):
+            return sum(blocks[i] for i in members(c))
+    return None
+
+
+def naive_pi_valenced_violation(H, sigma, pi):
+    """The Pi-valenced witness by the quotient route: build H//U for each
+    subnormal closed Pi-subset U, and read its thin elements, its block
+    products b* b and the valency of each thin closed one in H//U."""
+    from hypergroups import (
+        InternalConsistencyError,
+        bits,
+        closed_subsets,
+        double_cosets,
+        is_closed,
+        is_pi_number,
+        quotient,
+        subnormal_closed_subsets,
+        thin_elements,
+        valency_of,
+    )
+
+    subnormal = subnormal_closed_subsets(H)
+    pi_subsets = [c for c in closed_subsets(H).subsets
+                  if is_pi_number(valency_of(H, c), sigma, pi)]
+    for u in pi_subsets:
+        if u not in subnormal:
+            continue
+        blocks = double_cosets(H, u)
+        q = quotient(H, u).quotient
+        thin = thin_elements(q)
+        for b in range(q.rank):
+            s = q.table[q.star[b]][b]
+            if s & ~thin:
+                continue
+            if not is_pi_number(s.bit_count(), sigma, pi):
+                return (u, next(bits(blocks[b])))
+            if is_closed(q, s) and valency_of(q, s) != s.bit_count():
+                raise InternalConsistencyError(
+                    "thin closed product set with valency differing from size")
     return None
 
 

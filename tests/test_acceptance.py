@@ -20,7 +20,6 @@ from hypergroups import (
     is_residually_thin,
     is_sigma_solvable,
     is_solvable,
-    is_thin,
     mask_of,
     members,
     parse_selection,
@@ -38,7 +37,7 @@ from hypergroups import fixtures as fx
 from hypergroups.lattice import climb
 
 import instance_checks
-from instance_checks import isomorphic
+from instance_checks import is_thin, isomorphic
 from oracles import GroupOracle
 
 K2_TABLE = [[{0}, {1}], [{1}, {0, 1}]]

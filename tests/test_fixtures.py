@@ -1,6 +1,7 @@
-from hypergroups import closed_subsets, is_thin, mask_of, valency
+from hypergroups import closed_subsets, mask_of, valency
 from hypergroups import fixtures as fx
 
+from instance_checks import is_thin
 from oracles import GroupOracle, naive_axioms, sets_of
 
 

@@ -9,7 +9,6 @@ from hypergroups import (
     ParseError,
     cayley_to_hypergroup,
     detect_format,
-    is_thin,
     load_any,
     members,
     parse_document,
@@ -21,7 +20,7 @@ from hypergroups import (
 from hypergroups import fixtures as fx
 from hypergroups.cli import main
 
-from instance_checks import isomorphic
+from instance_checks import is_thin, isomorphic
 from oracles import naive_associativity_witness, naive_scheme_supports
 
 K2_DOC = """hypergroup k2

@@ -5,6 +5,7 @@ import pytest
 from hypergroups import (
     Chain,
     FiniteHypergroup,
+    HypergroupError,
     HypothesisViolationError,
     SMALLEST,
     SearchExhaustedError,
@@ -21,7 +22,6 @@ from hypergroups import (
     is_residually_thin,
     is_sigma_solvable,
     is_solvable,
-    is_thin,
     mask_of,
     members,
     parse_partition,
@@ -44,8 +44,10 @@ from hypergroups import fixtures as fx
 from hypergroups import hall
 from hypergroups.cli import main
 
+from instance_checks import is_thin
 from oracles import (
     naive_hall_constructive,
+    naive_pi_valenced_violation,
     naive_solvability_suite,
     naive_subnormal,
     sets_of,
@@ -206,8 +208,11 @@ def test_pi_radical_violation_outside_hypotheses(corpus):
     # the trivial subset is the largest {3}-subset but the quotient over it
     # is not thin.
     h = corpus["d4_mod_refl"]
-    with pytest.raises(HypothesisViolationError):
+    with pytest.raises(HypothesisViolationError) as info:
         pi_radical(h, SMALLEST, _sel("{3}"))
+    assert info.value.diagnostics == (
+        "radical is not strongly normal in the full set",
+        "quotient over the radical is not thin")
 
 
 def test_hall_enumeration_s3(corpus):
@@ -428,10 +433,37 @@ def test_hall_constructive_matches_the_quotient_route(corpus, groups):
     assert found
 
 
-def test_a5_verify_builds_only_the_quotient_over_the_identity(
-        monkeypatch, capsys, fixtures_dir):
-    # One verify of A5 builds A5//{0}, which the Pi-valenced check reads;
-    # the suite reads every quotient in A5's own lattice.
+def _outcome(scan, h, sig, pi):
+    try:
+        return scan(h, sig, pi)
+    except HypergroupError as exc:
+        return type(exc), str(exc)
+
+
+def test_pi_valenced_matches_the_quotient_route(corpus, groups):
+    # Each block U h U read through its lift U h* U h U in H gives the
+    # witness, or the error, that building H//U and reading its own table
+    # gives.
+    coarse = parse_partition("2|3,5")
+    cases = [(SMALLEST, _sel(text))
+             for text in ("", "{2}", "{3}", "{5}", "{2},{3}", "all")]
+    cases += [(coarse, _sel(text, coarse)) for text in ("0", "1")]
+    outcomes = []
+    for h in [*_quotient_inputs(corpus, groups), _f21()]:
+        for sig, pi in cases:
+            got = _outcome(pi_valenced_violation, h, sig, pi)
+            assert got == _outcome(naive_pi_valenced_violation, h, sig, pi), \
+                (h.name, str(sig), str(pi))
+            outcomes.append(got)
+    assert None in outcomes
+    assert any(isinstance(got, tuple) and isinstance(got[0], int)
+               for got in outcomes)
+
+
+def test_a5_pipeline_builds_no_quotient(monkeypatch, capsys, fixtures_dir):
+    # Every command reads its quotients in A5's own lattice: the suite, the
+    # constructive search, the Pi-valenced check and the radical's
+    # thinness.
     built = []
     real = quotient_module._build_quotient
 
@@ -440,10 +472,14 @@ def test_a5_verify_builds_only_the_quotient_over_the_identity(
         return real(h, fm)
 
     monkeypatch.setattr(quotient_module, "_build_quotient", counting)
-    main(["verify", str(fixtures_dir / "a5.cayley"), "--rank-cap", "60",
-          "--sigma", "smallest", "--pi", "{2}", "--machine"])
+    path = str(fixtures_dir / "a5.cayley")
+    pi = ["--sigma", "smallest", "--pi", "{2}"]
+    for argv in (["analyze", path], ["hall", path, *pi],
+                 ["hall", path, "--constructive", *pi], ["radical", path, *pi],
+                 ["verify", path, *pi]):
+        main([*argv, "--rank-cap", "60", "--machine"])
     capsys.readouterr()
-    assert built == [1]
+    assert built == []
 
 
 def test_smallest_partition_agreement_on_rt_corpus(corpus):
@@ -526,9 +562,9 @@ def test_verify_hall_scans_pi_subsets_once(monkeypatch):
     # The closed subsets of Pi-number valency, each with its valency, are
     # one stored scan, which the Pi-valenced witness, the radical, the Hall
     # enumeration (its covalencies included) and the containment check all
-    # read. s3 makes 13 calls: 6 in the scan, one per closed subset; 6 for
-    # the thin closed product sets of the quotient over {0}; 1 for the
-    # Hall subset the constructive search finds.
+    # read. s3 makes 7 calls: 6 in the scan, one per closed subset, and 1
+    # for the Hall subset the constructive search finds. The Pi-valenced
+    # check reads its thin closed product sets as chains from U instead.
     calls = []
     real = hall.valency_of
 
@@ -539,20 +575,21 @@ def test_verify_hall_scans_pi_subsets_once(monkeypatch):
     monkeypatch.setattr(hall, "valency_of", counting)
     rep = verify_hall(_fresh_s3(), SMALLEST, _sel("{2}"))
     assert rep.hypotheses_hold and rep.conclusions_hold
-    assert len(calls) == 13
+    assert len(calls) == 7
 
 
 def test_verify_hall_scans_pi_valence_once(monkeypatch):
     # The Pi-valenced witness is a stored fact: the constructive refusal
-    # reads the one verify_hall computed.
+    # reads the one verify_hall computed. Its one compute stars each of
+    # the 6 blocks of s3 over {0}, the only subnormal {2}-subset, once.
     calls = []
-    real = hall.thin_elements
+    real = hall.star_set
 
-    def counting(h):
-        calls.append(h.name)
-        return real(h)
+    def counting(h, b):
+        calls.append(b)
+        return real(h, b)
 
-    monkeypatch.setattr(hall, "thin_elements", counting)
+    monkeypatch.setattr(hall, "star_set", counting)
     rep = verify_hall(_fresh_s3(), SMALLEST, _sel("{2}"))
     assert rep.hypotheses_hold and rep.conclusions_hold
-    assert len(calls) == 1
+    assert calls == [1 << e for e in range(6)]

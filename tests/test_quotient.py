@@ -8,7 +8,6 @@ from hypergroups import (
     complex_product,
     double_cosets,
     is_closed,
-    is_thin,
     mask_of,
     members,
     quotient,
@@ -18,7 +17,7 @@ from hypergroups import (
 )
 from hypergroups import fixtures as fx
 
-from instance_checks import isomorphic, project, union_of_blocks
+from instance_checks import is_thin, isomorphic, project, union_of_blocks
 from oracles import naive_quotient, sets_of
 
 
@@ -99,11 +98,12 @@ def test_quotient_requires_closed(corpus):
 def test_projection_and_blocks_consistent(corpus):
     for h in corpus.values():
         for f in closed_subsets(h).subsets:
-            qm = quotient(h, f)
-            assert qm.blocks[0] == f
+            blocks = double_cosets(h, f)
+            assert quotient(h, f).quotient.rank == len(blocks)
+            assert blocks[0] == f
             for e in range(h.rank):
-                assert sum((b >> e) & 1 for b in qm.blocks) == 1
-            assert project(qm, f) == 1
+                assert sum((b >> e) & 1 for b in blocks) == 1
+            assert project(blocks, f) == 1
 
 
 def test_lift_round_trip_bijection(small_corpus):
@@ -112,18 +112,18 @@ def test_lift_round_trip_bijection(small_corpus):
     # the union of the named blocks.
     for h in small_corpus.values():
         for f in closed_subsets(h).subsets:
-            qm = quotient(h, f)
+            blocks = double_cosets(h, f)
             over = [e for e in closed_subsets(h).subsets if f & ~e == 0]
-            q_closed = list(closed_subsets(qm.quotient).subsets)
+            q_closed = list(closed_subsets(quotient(h, f).quotient).subsets)
             assert len(over) == len(q_closed)
             for ebar in q_closed:
-                e = union_of_blocks(qm, ebar)
+                e = union_of_blocks(blocks, ebar)
                 assert e in over
-                assert project(qm, e) == ebar
+                assert project(blocks, e) == ebar
             for e in over:
-                ebar = project(qm, e)
+                ebar = project(blocks, e)
                 assert ebar in q_closed
-                assert union_of_blocks(qm, ebar) == e
+                assert union_of_blocks(blocks, ebar) == e
 
 
 def test_lift_examples(corpus):
@@ -131,12 +131,13 @@ def test_lift_examples(corpus):
     lat = closed_subsets(d4)
     center = next(m for m in lat.subsets
                   if m.bit_count() == 2 and (m, d4.full) in lat.strongly_normal_in)
-    qm = quotient(d4, center)
-    assert union_of_blocks(qm, 1) == center
-    assert union_of_blocks(qm, qm.quotient.full) == d4.full
-    for ebar in closed_subsets(qm.quotient).subsets:
+    blocks = double_cosets(d4, center)
+    q = quotient(d4, center).quotient
+    assert union_of_blocks(blocks, 1) == center
+    assert union_of_blocks(blocks, q.full) == d4.full
+    for ebar in closed_subsets(q).subsets:
         if ebar.bit_count() == 2:
-            lifted = union_of_blocks(qm, ebar)
+            lifted = union_of_blocks(blocks, ebar)
             assert lifted.bit_count() == 4
             assert center & ~lifted == 0
             assert is_closed(d4, lifted)
@@ -170,14 +171,14 @@ def test_strong_normality_descends_to_quotients(small_corpus):
     for h in small_corpus.values():
         lat = closed_subsets(h)
         for d in lat.subsets:
-            qm = quotient(h, d)
-            q = qm.quotient
+            blocks = double_cosets(h, d)
+            q = quotient(h, d).quotient
             q_strong = closed_subsets(q).strongly_normal_in
             for e in lat.subsets:
                 if d & ~e:
                     continue
                 assert ((e, h.full) in lat.strongly_normal_in) == \
-                    ((project(qm, e), q.full) in q_strong)
+                    ((project(blocks, e), q.full) in q_strong)
 
 
 def test_quotient_tower_collapses(small_corpus):
@@ -191,9 +192,8 @@ def test_quotient_tower_collapses(small_corpus):
             for d in lat.subsets:
                 if d & ~e:
                     continue
-                qd = quotient(h, d)
-                ebar = project(qd, e)
-                tower = quotient(qd.quotient, ebar).quotient
+                ebar = project(double_cosets(h, d), e)
+                tower = quotient(quotient(h, d).quotient, ebar).quotient
                 assert isomorphic(tower, he) is not None
 
 

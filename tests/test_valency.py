@@ -11,7 +11,6 @@ from hypergroups import (
     complex_product,
     is_closed,
     is_residually_thin,
-    is_thin,
     mask_of,
     members,
     quotient,
@@ -26,6 +25,7 @@ from hypergroups import (
 from hypergroups import fixtures as fx
 from hypergroups.lattice import climb
 
+from instance_checks import is_thin
 from oracles import naive_rt_chains, sets_of
 
 
