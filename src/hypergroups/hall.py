@@ -2,7 +2,7 @@
 
 Everything here works over a fixed prime partition sigma and a selection Pi
 of its classes. A hypergroup is sigma-solvable when a chain of closed
-subsets climbs from the identity to the full set with every step quotient
+subsets rises from the identity to the full set with every step quotient
 thin and every step order inside a single class. A closed subset is a
 Pi-subset when its valency is a Pi-number, and a Hall Pi-subset when
 additionally the ambient valency divided by its own is a complement number.
@@ -33,7 +33,7 @@ from .errors import (
     InternalConsistencyError,
     SearchExhaustedError,
 )
-from .lattice import climb, closed_subsets
+from .lattice import closed_subsets, sweeps
 from .sigma import (
     PiSelection,
     PrimePartition,
@@ -77,8 +77,8 @@ def subnormal_closed_subsets(H: FiniteHypergroup) -> tuple[int, ...]:
     """Closed subsets joined to the full set by a stepwise-normal chain."""
     def compute():
         lat = closed_subsets(H)
-        return tuple(u for u in lat.subsets
-                     if next(climb(H, lat.normal_in, u, H.full), None))
+        down = sweeps(H, lat.normal_in)[1]
+        return tuple(u for u in lat.subsets if u in down)
 
     return cached(H, "subnormal", compute)
 
@@ -105,9 +105,9 @@ def pi_valenced_violation(H: FiniteHypergroup, sigma: PrimePartition,
     For each subnormal closed U of Pi-number valency and each block b of
     the quotient over U, the product b* b must have Pi-number size whenever
     it consists of thin elements. When such a product set is itself closed,
-    its valency is cross-checked against its size and a mismatch is
-    surfaced as an internal error. Each b = U h U is read in H through the
-    lift U h* U h U of b* b (see quotient). Stored per (sigma, Pi).
+    U must be strongly normal in its lift, which makes its valency its size
+    (see quotient), or an internal error is raised. Each b = U h U is read
+    in H through the lift U h* U h U of b* b. Stored per (sigma, Pi).
     """
     def compute():
         subnormal = subnormal_closed_subsets(H)
@@ -123,11 +123,10 @@ def pi_valenced_violation(H: FiniteHypergroup, sigma: PrimePartition,
                 size = sum(1 for c in blocks if c & s)
                 if not is_pi_number(size, sigma, pi):
                     return (u, next(bits(b)))
-                if is_closed(H, s):
-                    chain = thin_chain(H, s, None, u)
-                    if chain is None or chain.order_product != size:
-                        raise InternalConsistencyError(
-                            "thin closed product set with valency differing from size")
+                if is_closed(H, s) and \
+                        (u, s) not in closed_subsets(H).strongly_normal_in:
+                    raise InternalConsistencyError(
+                        "thin closed product set with valency differing from size")
         return None
 
     return cached(H, ("pi_valenced", sigma, pi), compute)

@@ -1,4 +1,4 @@
-"""Closed-subset lattice, its normality relations and the chain search over them."""
+"""Closed-subset lattice, its normality relations and the chain sweeps over them."""
 
 from __future__ import annotations
 
@@ -218,40 +218,25 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
         strongly_normal_in=frozenset(strong))
 
 
-def climb(H: FiniteHypergroup, pairs, bottom: int, top: int, step_ok=None):
-    """Every chain bottom = C0 < ... < Ck = top along a lattice relation.
+def sweeps(H: FiniteHypergroup, pairs, step_ok=None):
+    """(up, down): one chain per closed subset along a lattice relation.
 
-    pairs is closed_subsets(H).normal_in or .strongly_normal_in; every step
-    is in it and, when step_ok is given, passes step_ok(Ci, Ci+1). Yields
-    mask tuples depth first, larger extensions before smaller (ties by
-    member list), so the one-step chain comes first whenever allowed;
-    subsets from which the top is unreachable are memoized as dead. For one
-    chain, take next(climb(...), None).
+    A step D < C is a pair of pairs (normal_in or strongly_normal_in), D !=
+    C, passing step_ok(D, C), asked only when the step would settle an
+    unsettled end from a settled one. Steps go to later subsets of the
+    size-sorted lattice, so taken by target, or backward by source, they
+    read only settled ends. up maps each C that {0} reaches to ({0}, ...,
+    C) through the first D in lattice order, down each E that reaches the
+    full set to (E, ..., full set) through the last F, the full set first.
     """
-    def ascents():
-        up = {m: [] for m in closed_subsets(H).subsets}
-        for e, f in sorted(pairs, key=lambda p: (-p[1].bit_count(),
-                                                 subset_key(p[1])[1])):
-            if e != f:
-                up[e].append(f)
-        return up
-
-    up = cached(H, ("ascents", pairs), ascents)
-    dead: set[int] = set()
-
-    def walk(f: int):
-        if f == top:
-            yield (f,)
-            return
-        if f in dead:
-            return
-        found = False
-        for g in up[f]:
-            if not g & ~top and (step_ok is None or step_ok(f, g)):
-                for tail in walk(g):
-                    found = True
-                    yield (f,) + tail
-        if not found:
-            dead.add(f)
-
-    yield from walk(bottom)
+    at = {m: i for i, m in enumerate(closed_subsets(H).subsets)}.__getitem__
+    steps = [(d, c) for d, c in pairs if d != c]
+    up = {1: (1,)}
+    for d, c in sorted(steps, key=lambda p: (at(p[1]), at(p[0]))):
+        if c not in up and d in up and (step_ok is None or step_ok(d, c)):
+            up[c] = up[d] + (c,)
+    down = {H.full: (H.full,)}
+    for e, f in sorted(steps, key=lambda p: (at(p[0]), at(p[1])), reverse=True):
+        if e not in down and f in down and (step_ok is None or step_ok(e, f)):
+            down[e] = (e,) + down[f]
+    return up, down

@@ -64,7 +64,10 @@ def quotient(H: FiniteHypergroup, F) -> QuotientMap:
     the identity block, iff its lift F h* F h F is F; h'* h' is the set of
     blocks that F h* F h F meets. H//F is thin iff F is strongly normal in
     H: the case D = F, G = H above, as {F} is strongly normal in H//F iff
-    every h'* h' is {F}.
+    every h'* h' is {F}. Likewise a closed G' of thin blocks, such as a
+    closed h'* h' of thin blocks, has {F} strongly normal in it, so F is
+    strongly normal in its lift G, and the one step F < G has as many
+    double cosets as G' has blocks, the valency of the thin G'.
     """
     fm = H.subset(F)
     return cached(H, ("quotient", fm), lambda: _build_quotient(H, fm))

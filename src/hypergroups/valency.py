@@ -1,10 +1,10 @@
 """Residually thin chains and valencies.
 
-Every chain here comes from one search, lattice.climb over the strongly
-normal pairs: closed subsets from a closed bottom, the identity subset
-unless a caller names another, up to a closed top, each step quotient thin
-(lo is strongly normal in hi). thin_chain takes the first whose step
-orders pass a rule. To the full set it witnesses residual thinness, to a
+Every chain here is read off lattice.sweeps over the strongly normal pairs,
+one pair of sweeps per rule: closed subsets from the identity subset up
+to a closed top, or from a closed bottom up to the full set, each step
+quotient thin (lo is strongly normal in hi) and each step order passing
+the rule. To the full set a chain witnesses residual thinness, to a
 closed C its step orders multiply to the valency of C, and its rules give
 hall's sigma-solvable and solvable chains."""
 
@@ -18,7 +18,7 @@ from .core import (
     is_closed,
 )
 from .errors import InternalConsistencyError, PreconditionError, ValencyUndefinedError
-from .lattice import climb, closed_subsets
+from .lattice import closed_subsets, sweeps
 from .sigma import is_prime, spans_single_class
 
 
@@ -29,27 +29,30 @@ def thin_chain(H: FiniteHypergroup, top: int, rule=None,
     rule restricts the step orders, the numbers of double cosets of Ci in
     Ci+1: None admits every order, a PrimePartition the orders whose prime
     divisors lie in one of its classes, and is_prime the prime orders. None
-    is returned only after an exhaustive search. From a closed bottom E
+    means no such chain exists. One end must be an end of the lattice:
+    bottom the identity subset or top the full set. From a closed bottom E
     to the full set it is a chain of H//E from its identity (see
-    quotient). Memoized per (bottom, top, rule).
+    quotient). Both sweeps are stored once per rule.
     """
     def order_ok(lo, hi):
         n = len(double_cosets_in(H, lo, hi))
         return is_prime(n) if rule is is_prime else spans_single_class(n, rule)
 
-    def compute():
-        path = next(climb(H, closed_subsets(H).strongly_normal_in, bottom, top,
-                          None if rule is None else order_ok), None)
-        return Chain(H, path) if path else None
-
-    return cached(H, ("chain", bottom, top, rule), compute)
+    step_ok = None if rule is None else order_ok
+    up, down = cached(H, ("chains", rule), lambda: sweeps(
+        H, closed_subsets(H).strongly_normal_in, step_ok))
+    if bottom != 1 and top != H.full:
+        raise PreconditionError(
+            "thin_chain needs the identity subset as bottom or the full set as top")
+    path = up.get(top) if bottom == 1 else down.get(bottom)
+    return Chain(H, path) if path else None
 
 
 def rt_chain(H: FiniteHypergroup) -> Chain | None:
     """A chain from {0} to the full set with every step quotient thin.
 
-    Present iff the hypergroup is residually thin; None after an exhaustive
-    search of the closed-subset lattice fails.
+    Present iff the hypergroup is residually thin; None when the forward
+    sweep of the closed-subset lattice does not reach the full set.
     """
     return thin_chain(H, H.full)
 
@@ -61,9 +64,10 @@ def is_residually_thin(H: FiniteHypergroup) -> bool:
 def valency(H: FiniteHypergroup) -> int:
     """Product of the step quotient orders of a residually thin chain.
 
-    Independent of the chain chosen (a property the test suite checks over
-    all chains); computed from the first chain found. Undefined, and an
-    error, when the hypergroup is not residually thin.
+    Independent of the chain chosen, which the test suite checks over all
+    chains and no proof here records; read off one chain, the one the
+    forward sweep keeps. Undefined, and an error, when the hypergroup is
+    not residually thin.
     """
     chain = rt_chain(H)
     if chain is None:

@@ -3,11 +3,13 @@
 Everything here works on plain python sets and integer Cayley tables, not
 on the package's bitmask representation, and recomputes results by direct
 enumeration so the main code paths are checked against a second route. The
-three exceptions are naive_solvability_suite, which asks the package's own
-sigma-solvability test about every quotient and sub-hypergroup separately,
-naive_hall_constructive, which searches the quotient over the Pi-radical
-in that quotient's own lattice, and naive_pi_valenced_violation, which
-reads each quotient over a subnormal Pi-subset in its own table.
+four exceptions are climb, which searches the package's own lattice
+relations depth first for chains, naive_solvability_suite, which asks the
+package's own sigma-solvability test about every quotient and
+sub-hypergroup separately, naive_hall_constructive, which searches the
+quotient over the Pi-radical in that quotient's own lattice, and
+naive_pi_valenced_violation, which reads each quotient over a subnormal
+Pi-subset in its own table.
 """
 
 from __future__ import annotations
@@ -244,6 +246,44 @@ def naive_rt_chains(table, star) -> list[tuple[frozenset[int], ...]]:
 
     extend([frozenset({0})])
     return chains
+
+
+def climb(H, pairs, bottom: int, top: int, step_ok=None):
+    """Every chain bottom = C0 < ... < Ck = top along a lattice relation.
+
+    pairs is closed_subsets(H).normal_in or .strongly_normal_in; every step
+    is in it and, when step_ok is given, passes step_ok(Ci, Ci+1). Yields
+    mask tuples depth first, larger extensions before smaller (ties by
+    member list), so the one-step chain comes first whenever allowed;
+    subsets from which the top is unreachable are memoized as dead. For one
+    chain, take next(climb(...), None). The second route for
+    lattice.sweeps.
+    """
+    from hypergroups import closed_subsets, subset_key
+
+    up = {m: [] for m in closed_subsets(H).subsets}
+    for e, f in sorted(pairs, key=lambda p: (-p[1].bit_count(),
+                                             subset_key(p[1])[1])):
+        if e != f:
+            up[e].append(f)
+    dead: set[int] = set()
+
+    def walk(f: int):
+        if f == top:
+            yield (f,)
+            return
+        if f in dead:
+            return
+        found = False
+        for g in up[f]:
+            if not g & ~top and (step_ok is None or step_ok(f, g)):
+                for tail in walk(g):
+                    found = True
+                    yield (f,) + tail
+        if not found:
+            dead.add(f)
+
+    yield from walk(bottom)
 
 
 # ---------------------------------------------------------------------------

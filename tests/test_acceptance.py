@@ -34,11 +34,10 @@ from hypergroups import (
     verify_hall,
 )
 from hypergroups import fixtures as fx
-from hypergroups.lattice import climb
 
 import instance_checks
 from instance_checks import is_thin, isomorphic
-from oracles import GroupOracle
+from oracles import GroupOracle, climb
 
 K2_TABLE = [[{0}, {1}], [{1}, {0, 1}]]
 

@@ -46,6 +46,7 @@ from hypergroups.cli import main
 
 from instance_checks import is_thin
 from oracles import (
+    climb,
     naive_hall_constructive,
     naive_pi_valenced_violation,
     naive_solvability_suite,
@@ -415,6 +416,41 @@ def test_quotient_chains_are_read_from_the_modulus(corpus, groups):
                         (h.name, e, rule)
 
 
+def _passes(rule, n):
+    return is_prime(n) if rule is is_prime else spans_single_class(n, rule)
+
+
+def test_sweeps_match_the_oracle_climb(corpus, groups):
+    # Every chain question of the form ({0}, C) or (E, full set) is
+    # answered as the depth-first climb answers it, and every chain the
+    # sweeps keep is a chain of the question asked.
+    rules = (None, SMALLEST, parse_partition("2|3,5"), is_prime)
+    for h in [*_quotient_inputs(corpus, groups), _f21()]:
+        lat = closed_subsets(h)
+        strong = lat.strongly_normal_in
+        for rule in rules:
+            step_ok = None if rule is None else (
+                lambda lo, hi, rule=rule:
+                _passes(rule, Chain(h, (lo, hi)).step_orders[0]))
+            for c in lat.subsets:
+                for bottom, top in ((1, c), (c, h.full)):
+                    got = hall.thin_chain(h, top, rule, bottom)
+                    want = next(climb(h, strong, bottom, top, step_ok), None)
+                    assert (got is None) == (want is None), \
+                        (h.name, bottom, top, rule)
+                    if got is None:
+                        continue
+                    path = got.subsets
+                    assert (path[0], path[-1]) == (bottom, top)
+                    assert all((lo, hi) in strong and lo != hi
+                               for lo, hi in zip(path, path[1:]))
+                    assert rule is None or all(
+                        _passes(rule, n) for n in got.step_orders)
+        assert set(subnormal_closed_subsets(h)) == {
+            u for u in lat.subsets
+            if next(climb(h, lat.normal_in, u, h.full), None)}, h.name
+
+
 def test_hall_constructive_matches_the_quotient_route(corpus, groups):
     # The closed subsets over the radical, scanned in H's own lattice, give
     # the Hall subset that scanning the quotient over the radical does.
@@ -443,13 +479,19 @@ def _outcome(scan, h, sig, pi):
 def test_pi_valenced_matches_the_quotient_route(corpus, groups):
     # Each block U h U read through its lift U h* U h U in H gives the
     # witness, or the error, that building H//U and reading its own table
-    # gives.
+    # gives. In the group of order 32 (50 closed subsets) some block's
+    # lift leaves the union of the thin blocks, so the skip of such a
+    # block is reached: without it, {2} gives a witness and {2},{3} and
+    # all raise.
     coarse = parse_partition("2|3,5")
     cases = [(SMALLEST, _sel(text))
              for text in ("", "{2}", "{3}", "{5}", "{2},{3}", "all")]
     cases += [(coarse, _sel(text, coarse)) for text in ("0", "1")]
+    order_32 = fx.thin_from_table(fx.group_table(
+        [(3, 7, 5, 0, 6, 2, 4, 1), (6, 3, 1, 4, 2, 7, 0, 5)]), "g32")
     outcomes = []
-    for h in [*_quotient_inputs(corpus, groups), _f21()]:
+    for h in [*_quotient_inputs(corpus, groups), _f21(),
+              order_32.with_rank_cap(60)]:
         for sig, pi in cases:
             got = _outcome(pi_valenced_violation, h, sig, pi)
             assert got == _outcome(naive_pi_valenced_violation, h, sig, pi), \
@@ -492,6 +534,17 @@ def _fresh_s3():
     # The corpus instances keep their stored facts between tests.
     s3 = fx.sym3()
     return FiniteHypergroup(s3.table, s3.star, name="s3")
+
+
+def test_chains_are_stored_once_per_rule():
+    # Every chain question under a rule reads one stored pair of sweeps;
+    # nothing is stored per (bottom, top) pair.
+    s3 = _fresh_s3()
+    verify_hall(s3, SMALLEST, _sel("{2}"))
+    solvability_suite(s3, SMALLEST)
+    keys = {k for k in s3._cache if isinstance(k, tuple)
+            and k[0] in ("chain", "chains", "ascents")}
+    assert keys == {("chains", None), ("chains", SMALLEST), ("chains", is_prime)}
 
 
 def _suite_rows(monkeypatch, **fakes):
@@ -564,7 +617,8 @@ def test_verify_hall_scans_pi_subsets_once(monkeypatch):
     # enumeration (its covalencies included) and the containment check all
     # read. s3 makes 7 calls: 6 in the scan, one per closed subset, and 1
     # for the Hall subset the constructive search finds. The Pi-valenced
-    # check reads its thin closed product sets as chains from U instead.
+    # check reads its thin closed product sets off the strong normality of
+    # U in them instead.
     calls = []
     real = hall.valency_of
 

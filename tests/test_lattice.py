@@ -13,9 +13,10 @@ from hypergroups import (
 )
 from hypergroups import fixtures as fx
 from hypergroups import lattice
-from hypergroups.lattice import climb, conjugations
+from hypergroups.lattice import conjugations
 
 from oracles import (
+    climb,
     naive_closed_subsets,
     naive_extension_closed_subsets,
     naive_normal_pairs,

@@ -23,10 +23,10 @@ from hypergroups import (
     valency_of,
 )
 from hypergroups import fixtures as fx
-from hypergroups.lattice import climb
+from hypergroups.valency import thin_chain
 
 from instance_checks import is_thin
-from oracles import naive_rt_chains, sets_of
+from oracles import climb, naive_rt_chains, sets_of
 
 
 def _rt_chains(h, limit):
@@ -102,6 +102,18 @@ def test_valency_of_examples(corpus):
         valency_of(s3, mask_of([0, rot]))
 
 
+def test_thin_chain_refuses_a_question_between_two_inner_ends(corpus):
+    # Chains run from the identity subset or to the full set; a question
+    # with neither end is refused rather than answered from either sweep.
+    s3 = corpus["s3"]
+    a3 = closure(s3, [next(s for s in range(1, 6)
+                           if fx.element_order(s3, s) == 3)])
+    assert thin_chain(s3, a3).subsets == (1, a3)
+    assert thin_chain(s3, s3.full, None, a3).subsets == (a3, s3.full)
+    with pytest.raises(PreconditionError, match="identity subset"):
+        thin_chain(s3, a3, None, a3)
+
+
 def test_subset_valency_divides(corpus):
     for h in corpus.values():
         if not is_residually_thin(h):
@@ -123,8 +135,8 @@ def test_all_rt_chains_counts_match_oracle(small_corpus):
 
 
 def test_all_rt_chains_start_with_rt_chain(corpus):
-    # One chain search: the first chain climb yields is the one rt_chain
-    # (and so valency) reads.
+    # The sweep's chain to the full set, the one rt_chain (and so valency)
+    # reads, is the first chain the oracle climb yields on the corpus.
     for name, h in corpus.items():
         if is_residually_thin(h):
             assert _rt_chains(h, 1)[0].subsets == rt_chain(h).subsets, name
