@@ -73,11 +73,11 @@ def _int(tok: str, lineno: int, what: str) -> int:
 
 
 def _square(lines, count_line: str, count_what: str, row_what: str,
-            cell_what: str, convert):
+            cell_what: str, convert=None):
     """The rows, as (lineno, line), and the grid of n rows of n tokens after
     the 'order <n>' or 'points <m>' line, each token through convert(tok,
-    lineno) before its row's length is checked; the nouns name the count,
-    rows and cells in messages."""
+    lineno), if given, before its row's length is checked; the nouns name
+    the count, rows and cells in messages."""
     keyword = count_line.split()[0]
     if len(lines) < 2 or lines[1][1].split()[0] != keyword:
         raise ParseError(f"expected '{count_line}' line", lines[0][0] + 1)
@@ -94,7 +94,9 @@ def _square(lines, count_line: str, count_what: str, row_what: str,
                          rows[-1][0] if rows else lineno)
     grid = []
     for lineno, line in rows:
-        cells = [convert(tok, lineno) for tok in line.split()]
+        cells = line.split()
+        if convert is not None:
+            cells = [convert(tok, lineno) for tok in cells]
         if len(cells) != n:
             raise ParseError(f"expected {n} {cell_what} in row, got {len(cells)}",
                              lineno)
@@ -203,8 +205,7 @@ def cayley_to_hypergroup(text: str) -> FiniteHypergroup:
     """
     lines = list(_meaningful_lines(text))
     name = _header(lines, "group", "G")
-    rows, grid = _square(lines, "order <n>", "order", "table", "symbols",
-                         lambda tok, lineno: tok)
+    rows, grid = _square(lines, "order <n>", "order", "table", "symbols")
     n = len(grid)
     symbols = grid[0]
     if len(set(symbols)) != n:
@@ -212,25 +213,29 @@ def cayley_to_hypergroup(text: str) -> FiniteHypergroup:
     pos = {s: i for i, s in enumerate(symbols)}
     table = []
     for (lineno, _), syms in zip(rows, grid):
-        for sym in syms:
-            if sym not in pos:
-                raise ParseError(f"unknown symbol {sym!r}", lineno)
-        table.append([pos[sym] for sym in syms])
-    for i in range(n):
-        if table[0][i] != i or table[i][0] != i:
-            raise ParseError(
-                "first symbol is not an identity: row/column mismatch at "
-                f"position {i}", rows[0][0])
-    for i in range(n):
-        if sorted(table[i]) != list(range(n)):
+        row = tuple(map(pos.get, syms))
+        if None in row:
+            raise ParseError(f"unknown symbol {syms[row.index(None)]!r}", lineno)
+        table.append(row)
+    # Row 0 lists the symbols in order, so only column 0 can mismatch.
+    ident = tuple(range(n))
+    cols = tuple(zip(*table))
+    if cols[0] != ident:
+        i = next(i for i in ident if cols[0][i] != i)
+        raise ParseError(
+            "first symbol is not an identity: row/column mismatch at "
+            f"position {i}", rows[0][0])
+    # Every entry is one of the n symbols, so n distinct ones are all of them.
+    for i in ident:
+        if len(set(table[i])) != n:
             raise ParseError(f"not a Latin square: repeated symbol in row {i}",
                              rows[i][0])
-        col = sorted(table[r][i] for r in range(n))
-        if col != list(range(n)):
+        if len(set(cols[i])) != n:
             raise ParseError(f"not a Latin square: repeated symbol in column {i}",
                              rows[0][0])
     inv = tuple(row.index(0) for row in table)
-    masks = tuple(tuple(1 << x for x in row) for row in table)
+    bit = [1 << i for i in ident]
+    masks = tuple(tuple(map(bit.__getitem__, row)) for row in table)
     try:
         return FiniteHypergroup(masks, inv, name=name)
     except InvalidHypergroupError as exc:

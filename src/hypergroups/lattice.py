@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .bitset import bits, members, subset_key
 from .core import (
@@ -83,19 +85,25 @@ def closed_subsets(H: FiniteHypergroup) -> ClosedSubsetLattice:
 
 
 def conjugations(H: FiniteHypergroup) -> dict[int, tuple[int, ...]]:
-    """The permutation x -> h* x h of the elements, for every thin h.
+    """The permutation x -> h* x h of the elements, for every thin h, held
+    as the single-bit mask of each image.
 
-    Read from the table; each product the proof in closed_subsets says is a
-    singleton is checked to be one.
+    Read from the table: h* x must be a singleton, and the images, n
+    nonempty masks, must be pairwise disjoint (their sum is their union)
+    with union the full set, so each is a singleton and they permute the
+    elements, as the proof in closed_subsets says.
     """
-    t = H.table
-    index = {1 << i: i for i in range(H.rank)}
+    index = {1 << i: i for i in range(H.rank)}.__getitem__
+    cols = tuple(zip(*H.table))
     try:
-        return {h: tuple(index[t[index[hx]][h]] for hx in t[H.star[h]])
+        conj = {h: tuple(map(cols[h].__getitem__, map(index, H.table[H.star[h]])))
                 for h in bits(thin_elements(H))}
-    except KeyError:
-        raise InternalConsistencyError(
-            "conjugation by a thin element is not a permutation") from None
+        if all(sum(a) == reduce(or_, a) == H.full for a in conj.values()):
+            return conj
+    except KeyError:  # some h* x is not a singleton
+        pass
+    raise InternalConsistencyError(
+        "conjugation by a thin element is not a permutation")
 
 
 def _image(auto: tuple[int, ...], elems) -> int:
@@ -141,7 +149,7 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
         raise RankCapError(
             f"rank {H.rank} exceeds the lattice cap {H.rank_cap}; "
             "raise the cap explicitly to proceed")
-    conj = {h: tuple(1 << y for y in perm) for h, perm in conjugations(H).items()}
+    conj = conjugations(H)
     # The distinct automorphisms, the identity (h = 0) first.
     autos = tuple(dict.fromkeys(conj.values()))
     rep_of: dict[int, tuple[int, tuple[int, ...]]] = {}

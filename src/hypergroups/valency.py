@@ -29,18 +29,24 @@ def thin_chain(H: FiniteHypergroup, top: int, rule=None,
     rule restricts the step orders, the numbers of double cosets of Ci in
     Ci+1: None admits every order, a PrimePartition the orders whose prime
     divisors lie in one of its classes, and is_prime the prime orders. None
-    means no such chain exists. One end must be an end of the lattice:
-    bottom the identity subset or top the full set. From a closed bottom E
-    to the full set it is a chain of H//E from its identity (see
-    quotient). Both sweeps are stored once per rule.
+    means no such chain exists. Both ends must be closed, and one must be
+    an end of the lattice: bottom the identity subset or top the full set.
+    From a closed bottom E to the full set it is a chain of H//E from its
+    identity (see quotient). Both sweeps are stored once per rule.
     """
     def order_ok(lo, hi):
         n = len(double_cosets_in(H, lo, hi))
         return is_prime(n) if rule is is_prime else spans_single_class(n, rule)
 
     step_ok = None if rule is None else order_ok
-    up, down = cached(H, ("chains", rule), lambda: sweeps(
-        H, closed_subsets(H).strongly_normal_in, step_ok))
+
+    def chains():
+        lattice = closed_subsets(H)
+        return sweeps(H, lattice.strongly_normal_in, step_ok) + (lattice.subsets,)
+
+    up, down, subsets = cached(H, ("chains", rule), chains)
+    if H.subset(top) not in subsets or H.subset(bottom) not in subsets:
+        raise PreconditionError("thin_chain requires closed ends")
     if bottom != 1 and top != H.full:
         raise PreconditionError(
             "thin_chain needs the identity subset as bottom or the full set as top")

@@ -76,6 +76,84 @@ def naive_associativity_witness(t, n):
     return None
 
 
+def naive_cayley_read(text: str):
+    """(table of masks, star) of a Cayley document, or its ParseError.
+
+    The Cayley reader's checks one symbol at a time, in the reader's order:
+    header, order line, row count, row lengths, distinct first row, unknown
+    symbols row by row, the identity row and column, then row i and column
+    i of the Latin square for each i in turn, and associativity, reported
+    at the line of the witness's first element.
+    """
+    from hypergroups.errors import ParseError
+
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+    if not lines:
+        raise ParseError("empty document", 1)
+    lineno, head = lines[0]
+    key = head.split(None, 1)[0]
+    if key != "group":
+        raise ParseError(f"expected 'group <name>' header, got {key!r}", lineno)
+    if len(lines) < 2 or lines[1][1].split()[0] != "order":
+        raise ParseError("expected 'order <n>' line", lines[0][0] + 1)
+    lineno, line = lines[1]
+    toks = line.split()
+    if len(toks) != 2:
+        raise ParseError("order line needs one integer", lineno)
+    try:
+        n = int(toks[1])
+    except ValueError:
+        raise ParseError(f"expected order, got {toks[1]!r}", lineno) from None
+    if n < 1:
+        raise ParseError("order must be positive", lineno)
+    rows = lines[2:]
+    if len(rows) != n:
+        raise ParseError(f"expected {n} table rows, got {len(rows)}",
+                         rows[-1][0] if rows else lineno)
+    grid = []
+    for lineno, line in rows:
+        cells = line.split()
+        if len(cells) != n:
+            raise ParseError(f"expected {n} symbols in row, got {len(cells)}",
+                             lineno)
+        grid.append(cells)
+    symbols = grid[0]
+    if len(set(symbols)) != n:
+        raise ParseError("first row must list n distinct symbols", rows[0][0])
+    pos = {s: i for i, s in enumerate(symbols)}
+    table = []
+    for (lineno, _), syms in zip(rows, grid):
+        for sym in syms:
+            if sym not in pos:
+                raise ParseError(f"unknown symbol {sym!r}", lineno)
+        table.append([pos[sym] for sym in syms])
+    for i in range(n):
+        if table[0][i] != i or table[i][0] != i:
+            raise ParseError(
+                "first symbol is not an identity: row/column mismatch at "
+                f"position {i}", rows[0][0])
+    for i in range(n):
+        if sorted(table[i]) != list(range(n)):
+            raise ParseError(f"not a Latin square: repeated symbol in row {i}",
+                             rows[i][0])
+        col = sorted(table[r][i] for r in range(n))
+        if col != list(range(n)):
+            raise ParseError(f"not a Latin square: repeated symbol in column {i}",
+                             rows[0][0])
+    masks = tuple(tuple(1 << x for x in row) for row in table)
+    witness = naive_associativity_witness(masks, n)
+    if witness is not None:
+        a, b, c = witness
+        raise ParseError(
+            f"not associative at ({symbols[a]},{symbols[b]},{symbols[c]})",
+            rows[a][0])
+    return masks, tuple(row.index(0) for row in table)
+
+
 def naive_scheme_supports(mat) -> tuple[tuple[int, ...], ...]:
     """Support table of a relation matrix over every triple of points:
     relation k lies in p q iff some x, y, z has x y in p, y z in q and

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +356,10 @@ def test_validate_matches_triple_scan_on_mutated_tables(corpus, monkeypatch):
     thin_cases = []
     for h in thin:
         thin_cases.extend(_swapped_rows(rng, h, 4 if h.rank > 24 else 30))
+    # Every thin table of rank 2: two of them break H1 only at (0, 0, 0),
+    # which Light's test sees only by checking 0 when H2 fails.
+    thin_cases += [([[1 << x for x in e[:2]], [1 << x for x in e[2:]]], [0, 1])
+                   for e in product(range(2), repeat=4)]
     cases += thin_cases
     got = [validate(t, s) for t, s in cases]
     monkeypatch.setattr(core, "_associativity_witness", naive_associativity_witness)
@@ -366,6 +371,73 @@ def test_validate_matches_triple_scan_on_mutated_tables(corpus, monkeypatch):
     thin_got = got[-len(thin_cases):]
     assert any(r.valid for r in thin_got)
     assert any("H1" in _axioms(r) for r in thin_got)
+    # Light's test also runs without H2, where 0 is a generator to check.
+    assert any("H2" in _axioms(r) for r in thin_got)
+
+
+def _thin_defects(rng, h, count):
+    """Copies of thin h's table and star with one defect each that the H3
+    shortcut must notice: two star images swapped (so some s* s is not
+    {0}, and star may stay an involution), star no longer an involution,
+    two rows swapped, or the entry a0 swapped with ab for b != a* (both
+    breaking H2, the last with every s* s still {0}); every fifth copy is
+    left whole."""
+    n = h.rank
+    for i in range(count):
+        table = [list(row) for row in h.table]
+        star = list(h.star)
+        a, b = rng.sample(range(1, n), 2) if n > 2 else (1, 0)
+        kind = i % 5
+        if kind == 1:
+            star[a], star[b] = star[b], star[a]
+        elif kind == 2:
+            star[a] = rng.choice([x for x in range(n) if x != star[a]])
+        elif kind == 3:
+            table[a], table[b] = table[b], table[a]
+        elif kind == 4 and b != star[a]:
+            table[a][0], table[a][b] = table[a][b], table[a][0]
+        yield table, star
+
+
+def test_h3_shortcut_matches_the_literal_loop(corpus, monkeypatch):
+    # validate skips the literal H3 loop when the table is a group with s*
+    # = s^-1; its reports, witnesses included, must equal those of the loop
+    # run every time.
+    rng = random.Random(7_778)
+    cases = []
+    for h in [*corpus.values(), fx.alt5()]:
+        if h.rank > 1 and thin_elements(h) == h.full:
+            cases.extend(_thin_defects(rng, h, 8 if h.rank > 24 else 40))
+        elif h.rank > 1:
+            cases.extend(_mutated_tables(rng, h, 20))
+    skipped = []
+    real = core._has_inverses
+
+    def spy(t, star, n):
+        skipped.append(real(t, star, n))
+        return skipped[-1]
+
+    monkeypatch.setattr(core, "_has_inverses", spy)
+    got = [validate(t, s) for t, s in cases]
+    monkeypatch.setattr(core, "_has_inverses", lambda t, star, n: False)
+    want = [validate(t, s) for t, s in cases]
+    assert got == want  # reports compare by verdict and witnesses
+    assert any(skipped) and not all(skipped)
+    axioms = [set(_axioms(r)) for r in got]
+    assert any(r.valid for r in got)
+    assert any(a == {"H3"} for a in axioms)  # star an involution, s* s != {0}
+    assert any("STAR" in a for a in axioms)
+    assert any("H2" in a for a in axioms)
+
+
+def test_thin_validation_never_reaches_the_adjoint_loop(monkeypatch):
+    # S5 is a group with s* = s^-1, so H3 needs no literal loop.
+    def refuse(t, star, n):
+        raise AssertionError("literal H3 loop on a group table")
+
+    monkeypatch.setattr(core, "_adjoint_witness", refuse)
+    s5 = fx.sym5()
+    assert validate(s5.table, s5.star).valid
 
 
 def test_construction_normalizes_once(monkeypatch):

@@ -21,7 +21,11 @@ from hypergroups import fixtures as fx
 from hypergroups.cli import main
 
 from instance_checks import is_thin, isomorphic
-from oracles import naive_associativity_witness, naive_scheme_supports
+from oracles import (
+    naive_associativity_witness,
+    naive_cayley_read,
+    naive_scheme_supports,
+)
 
 K2_DOC = """hypergroup k2
 rank 2
@@ -264,6 +268,52 @@ def test_cayley_reader_matches_associativity_oracle():
         assert err.value.line == a + 3
         rejected += 1
     assert 300 < rejected < 900
+
+
+CAYLEY_ERRORS = (
+    "expected", "first row must list", "unknown symbol",
+    "first symbol is not an identity", "not a Latin square: repeated symbol in row",
+    "not a Latin square: repeated symbol in column", "not associative")
+
+
+def _read_or_error(read, text):
+    """(table, star) of what read returns, or the ParseError's message and
+    line."""
+    try:
+        got = read(text)
+    except ParseError as err:
+        return str(err), err.line
+    return (got.table, got.star) if hasattr(got, "table") else got
+
+
+def test_cayley_reader_checks_in_the_oracles_order():
+    # Reduced Latin squares with one or two cells changed, to another
+    # symbol, to an unknown one or to nothing, so that a document breaks
+    # several checks at once: the reader must report the same first defect,
+    # message and line, as the check-by-check oracle, or the same table.
+    rng = random.Random(2409)
+    kinds = Counter()
+    for k in range(400):
+        n = 2 + k % 7
+        symbols = [f"s{i}" for i in range(n)]
+        grid = [[symbols[x] for x in row]
+                for row in _reduced_latin_square(n, rng)]
+        for _ in range(1 + k % 2):
+            r, c = rng.randrange(n), rng.randrange(n)
+            change = rng.randrange(6)
+            if change == 0:
+                grid[r][c] = f"u{rng.randrange(3)}"
+            elif change == 1 and k % 10 == 0:
+                del grid[r][c]
+            else:
+                grid[r][c] = rng.choice(symbols)
+        text = f"group g{k}\norder {n}\n" + "".join(
+            " ".join(row) + "\n" for row in grid)
+        want = _read_or_error(naive_cayley_read, text)
+        assert _read_or_error(cayley_to_hypergroup, text) == want
+        kinds[next((p for p in CAYLEY_ERRORS if str(want[0]).startswith(p)),
+                   "read")] += 1
+    assert set(kinds) == {*CAYLEY_ERRORS, "read"}, kinds
 
 
 def test_scheme_complete_graph_is_k2(corpus):

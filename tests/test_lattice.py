@@ -122,14 +122,16 @@ def test_a5_and_s5_orbit_counts():
 
 
 def test_thin_conjugations_are_automorphisms(corpus, group_quotients):
-    # x -> h* x h for every thin h, as the lattice builds it, checked
-    # against the table: a bijection fixing 0 that commutes with star and
-    # with the product.
+    # x -> h* x h for every thin h, as the lattice builds it (each image
+    # a single-bit mask), checked against the table: a bijection fixing 0
+    # that commutes with star and with the product.
     for h in [*corpus.values(), *group_quotients.values()]:
         table, star = sets_of(h)
         conj = conjugations(h)
         assert set(conj) == set(members(thin_elements(h)))
-        for t, phi in conj.items():
+        for t, images in conj.items():
+            assert all(m.bit_count() == 1 for m in images)
+            phi = [m.bit_length() - 1 for m in images]
             assert sorted(phi) == list(range(h.rank))
             assert phi[0] == 0
             for x in range(h.rank):

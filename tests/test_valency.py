@@ -114,6 +114,21 @@ def test_thin_chain_refuses_a_question_between_two_inner_ends(corpus):
         thin_chain(s3, a3, None, a3)
 
 
+def test_thin_chain_refuses_an_end_that_is_not_closed(corpus):
+    # As valency_of does: an end out of range or not closed is a question
+    # about no member of the lattice, not a chain that does not exist.
+    s3 = corpus["s3"]
+    rot = next(s for s in range(1, 6) if fx.element_order(s3, s) == 3)
+    with pytest.raises(PreconditionError, match="out of range"):
+        thin_chain(fx.sym3(), 1 << 9)
+    with pytest.raises(PreconditionError, match="out of range"):
+        thin_chain(s3, s3.full, None, 1 << 9)
+    with pytest.raises(PreconditionError, match="closed ends"):
+        thin_chain(s3, mask_of([0, rot]))
+    with pytest.raises(PreconditionError, match="closed ends"):
+        thin_chain(s3, s3.full, None, mask_of([0, rot]))
+
+
 def test_subset_valency_divides(corpus):
     for h in corpus.values():
         if not is_residually_thin(h):
