@@ -369,38 +369,57 @@ def closure(H: FiniteHypergroup, S) -> int:
     """Smallest closed subset containing S and the identity.
 
     S is a mask or, here alone in the package, a collection of indices.
-    Computed as the set W of all products of generators: starting from the
-    identity, every new member is multiplied on the right by s and s* for
-    each s in S. W contains S, and every closed subset containing S contains
-    W. W is closed: W . W lies in W by associativity (H1), and W* = W because
-    (pq)* = q*p*, which follows from the adjoint law (H3): r in pq gives
-    p in rq*, then q* in r*p, then r* in q*p*. So star(a) . b lies in W for
-    all a, b in W. Each member costs one table read per generator, not one
-    per member. Stops early once the full set is reached, which is always
-    closed.
+    Computed as _join({0}, S): the set of all products of generators.
     """
-    t = H.table
-    full = H.full
     try:
         seed = H.subset(S if isinstance(S, int) else mask_of(S))
     except ValueError:  # a negative index, whose shift mask_of refuses
         raise PreconditionError(f"subset out of range for rank {H.rank}") from None
-    gens = tuple(bits((seed | star_set(H, seed)) & ~1))
-    mask = 1
-    queue = [1]  # masks of members not yet multiplied out
-    while queue:
-        m = queue.pop()
-        while m:
-            low = m & -m
-            m ^= low
-            row = t[low.bit_length() - 1]
-            for g in gens:
-                add = row[g] & ~mask
-                if add:
-                    mask |= add
-                    if mask == full:
-                        return full
-                    queue.append(add)
+    return _join(H, 1, seed)
+
+
+def _join(H: FiniteHypergroup, F: int, S: int) -> int:
+    """Smallest closed subset containing the closed F and the mask S, where
+    S holds a generating set of F ({0} needs none).
+
+    Built coset by coset from F, as Dimino's algorithm extends a subgroup
+    (G. Butler, Fundamental Algorithms for Permutation Groups, LNCS 559,
+    1991). The sets F y partition H: y is in F y, as 0 is in F, and x in
+    F y gives y in F* x = F x by H3, so F x lies in F (F y) = (F F) y = F y
+    and F y in F x alike. From the representative 0 (F 0 = F), each
+    representative r is multiplied by every s in S and S*, and each product
+    element y not yet reached brings its whole coset F y, one column read
+    per member of F, and becomes a representative. At the end G, the union
+    of the cosets F r, has r s inside G for every representative r and
+    generator s, so G s lies in F G = G, as F (F r) = F r; so G is closed
+    under right multiplication by every product of generators, and
+    contains all of them. G lies in that set W of products, as S generates
+    F and each F y lies in F W = W. W is the closure of S and F: W
+    contains S, every closed subset containing S contains W, W W lies in W
+    by H1, and W* = W as (pq)* = q*p*, from H3 (r in pq gives p in rq*,
+    then q* in r*p, then r* in q*p*). Each coset costs |F| column reads
+    and each representative one table read per generator. Stops early once
+    the full set is reached, which is always closed.
+    """
+    full = H.full
+    t = H.table
+    gens = tuple(bits((S | star_set(H, S)) & ~1))
+    base = F != 1 and members(F & ~1)  # 0 y = {y}, by UNIT
+    cols = base and cached(H, "cols", lambda: tuple(zip(*t)))
+    mask = F
+    reps = [0]
+    for r in reps:
+        row = t[r]
+        for s in gens:
+            add = row[s] & ~mask
+            while add:
+                low = add & -add
+                y = low.bit_length() - 1
+                mask |= reduce(or_, map(cols[y].__getitem__, base), low) if base else low
+                if mask == full:
+                    return full
+                reps.append(y)
+                add &= ~mask
     return mask
 
 

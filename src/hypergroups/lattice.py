@@ -9,6 +9,7 @@ from operator import or_
 from .bitset import bits, members, subset_key
 from .core import (
     FiniteHypergroup,
+    _join,
     cached,
     closure,
     complex_product,
@@ -85,23 +86,50 @@ def closed_subsets(H: FiniteHypergroup) -> ClosedSubsetLattice:
 
 
 def conjugations(H: FiniteHypergroup) -> dict[int, tuple[int, ...]]:
-    """The permutation x -> h* x h of the elements, for every thin h, held
-    as the single-bit mask of each image.
+    """The permutation phi_h: x -> h* x h of the elements, for every thin
+    h, held as the single-bit mask of each image.
 
-    Read from the table: h* x must be a singleton, and the images, n
-    nonempty masks, must be pairwise disjoint (their sum is their union)
-    with union the full set, so each is a singleton and they permute the
-    elements, as the proof in closed_subsets says.
+    Only the maps of a greedy generating set of the thin elements are read
+    from the table: the least thin element not yet reached joins it. For
+    such a g, g* x must be a singleton for every x. Every other map is
+    composed: each time a generator joins, the thin elements reached so
+    far are walked breadth first, each multiplied on the left by every
+    generator. For thin h and k, kh is a thin singleton: (kh)*(kh) =
+    h*k*kh = h*{0}h = {0}, by (pq)* = q*p* and H1, and then kh is a
+    singleton as the proof in closed_subsets says. And phi_kh(x) = h*k* x
+    kh = phi_h(phi_k(x)), so phi_kh is phi_h read at phi_k's images. A
+    product kh that is not a singleton raises InternalConsistencyError.
+    Every map returned is checked: its n masks, nonempty, must be pairwise
+    disjoint (their sum is their union) with union the full set, so each
+    is a singleton and they permute the elements.
     """
-    index = {1 << i: i for i in range(H.rank)}.__getitem__
-    cols = tuple(zip(*H.table))
+    n = H.rank
+    t = H.table
+    index = {1 << i: i for i in range(n)}
+    cols = cached(H, "cols", lambda: tuple(zip(*t)))
+    thin = thin_elements(H)
+    conj = {0: tuple(1 << i for i in range(n))}
+    perm: dict[int, tuple[int, ...]] = {}  # generator k -> phi_k on elements
     try:
-        conj = {h: tuple(map(cols[h].__getitem__, map(index, H.table[H.star[h]])))
-                for h in bits(thin_elements(H))}
-        if all(sum(a) == reduce(or_, a) == H.full for a in conj.values()):
-            return conj
-    except KeyError:  # some h* x is not a singleton
+        for g in bits(thin):
+            if g in conj:
+                continue
+            conj[g] = tuple(map(cols[g].__getitem__,
+                                map(index.__getitem__, t[H.star[g]])))
+            perm[g] = tuple(map(index.__getitem__, conj[g]))
+            reached = list(conj)
+            for h in reached:
+                for k in perm:
+                    kh = index[t[k][h]]
+                    if kh not in conj:
+                        conj[kh] = tuple(map(conj[h].__getitem__, perm[k]))
+                        reached.append(kh)
+    except KeyError:  # some g* x or some kh is not a singleton
         pass
+    else:
+        if (len(conj) == thin.bit_count()
+                and all(sum(a) == reduce(or_, a) == H.full for a in conj.values())):
+            return {h: conj[h] for h in bits(thin)}
     raise InternalConsistencyError(
         "conjugation by a thin element is not a permutation")
 
@@ -128,10 +156,12 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
     the thin conjugations. If phi(F) = F, then closure(F u phi(c)) =
     phi(closure(F u c)), which lies in the orbit that closure(F u c) does,
     so the other members of c's orbit reach no new orbit. The stabilizer
-    is read off F's generating mask (_fixes), and phi(c) is the cyclic
-    closure of phi(x) for c's representative x. See A. Hulpke, Computing
-    subgroups invariant under a set of automorphisms, J. Symb. Comput. 27,
-    1999.
+    is read off F's generating mask (_fixes), in the pass that images F
+    under the other automorphisms, and phi(c) is the cyclic closure of
+    phi(x) for c's representative x. See A. Hulpke, Computing subgroups
+    invariant under a set of automorphisms, J. Symb. Comput. 27, 1999.
+    The extension is _join from the larger of F and c, as F's generating
+    mask with x generates both.
 
     Normality from thin generators: when every member of F is thin, F is
     the set of products of its generating mask and their stars (closure),
@@ -153,12 +183,21 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
     # The distinct automorphisms, the identity (h = 0) first.
     autos = tuple(dict.fromkeys(conj.values()))
     rep_of: dict[int, tuple[int, tuple[int, ...]]] = {}
+    stabilizer: dict[int, list[tuple[int, ...]]] = {}
 
     def add_orbit(g):
-        # Each member of g's orbit -> (g, an automorphism carrying g onto it).
+        # Each member of g's orbit -> (g, an automorphism carrying g onto
+        # it), imaged only by the automorphisms that move g; those that fix
+        # g are kept as its stabilizer.
+        rep_of[g] = (g, autos[0])
+        g_gens = members(gens[g])
         elems = members(g)
+        fixing = stabilizer[g] = []
         for a in autos:
-            rep_of.setdefault(_image(a, elems), (g, a))
+            if _fixes(a, g_gens, g):
+                fixing.append(a)
+            else:
+                rep_of.setdefault(_image(a, elems), (g, a))
 
     # Element bit -> its cyclic closure, closed once per orbit of elements,
     # as phi(closure(x)) = closure(phi(x)); then each distinct cyclic
@@ -177,15 +216,13 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
     stack = [1]
     while stack:
         f = stack.pop()
-        f_gens = members(gens[f])
-        stabilizer = [a for a in autos if _fixes(a, f_gens, f)]
         covered = set()
         for c, x in cyclic.items():
             if c in covered or not c & ~f:
                 continue
-            covered.update(cyclic_of[a[x]] for a in stabilizer)
+            covered.update(cyclic_of[a[x]] for a in stabilizer[f])
             g_gens = gens[f] | 1 << x
-            g = closure(H, g_gens)
+            g = _join(H, max(f, c, key=int.bit_count), g_gens)
             if g not in rep_of:
                 gens[g] = g_gens
                 add_orbit(g)

@@ -3,9 +3,10 @@
 Everything here works on plain python sets and integer Cayley tables, not
 on the package's bitmask representation, and recomputes results by direct
 enumeration so the main code paths are checked against a second route. The
-four exceptions are climb, which searches the package's own lattice
-relations depth first for chains, naive_solvability_suite, which asks the
-package's own sigma-solvability test about every quotient and
+five exceptions are naive_conjugations, which reads every conjugation map
+off the package's bitmask table, climb, which searches the package's own
+lattice relations depth first for chains, naive_solvability_suite, which
+asks the package's own sigma-solvability test about every quotient and
 sub-hypergroup separately, naive_hall_constructive, which searches the
 quotient over the Pi-radical in that quotient's own lattice, and
 naive_pi_valenced_violation, which reads each quotient over a subnormal
@@ -215,6 +216,33 @@ def naive_extension_closed_subsets(table, star) -> set[frozenset[int]]:
                     found.add(g)
                     frontier.append(g)
     return found
+
+
+def naive_conjugations(H):
+    """The permutation x -> h* x h of the elements, for every thin h, held
+    as the single-bit mask of each image, each map read off the table.
+
+    Read from the table: h* x must be a singleton, and the images, n
+    nonempty masks, must be pairwise disjoint (their sum is their union)
+    with union the full set, so each is a singleton and they permute the
+    elements.
+    """
+    from functools import reduce
+    from operator import or_
+
+    from hypergroups import InternalConsistencyError, bits, thin_elements
+
+    index = {1 << i: i for i in range(H.rank)}.__getitem__
+    cols = tuple(zip(*H.table))
+    try:
+        conj = {h: tuple(map(cols[h].__getitem__, map(index, H.table[H.star[h]])))
+                for h in bits(thin_elements(H))}
+        if all(sum(a) == reduce(or_, a) == H.full for a in conj.values()):
+            return conj
+    except KeyError:  # some h* x is not a singleton
+        pass
+    raise InternalConsistencyError(
+        "conjugation by a thin element is not a permutation")
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,37 @@ def test_closure_matches_pair_rule(corpus, group_quotients):
             assert members(closure(h, seed)) == tuple(sorted(want))
 
 
+def _generating_mask(h, f):
+    """A generating mask of the closed f: each member of f not yet in the
+    closure of those chosen joins them."""
+    gens = 0
+    for y in members(f):
+        if not closure(h, gens) >> y & 1:
+            gens |= 1 << y
+    return gens
+
+
+def test_join_matches_closure_and_pair_rule(corpus, group_quotients):
+    # Joining a closed F, given only a generating mask of it, with each
+    # element x, against closure(F u {x}) and the pair rule on python sets:
+    # every closed F of the corpus, of the group quotients (non-thin, with
+    # cosets F y of unequal sizes) and of A5, each distinct table once; for
+    # x in F, both give F.
+    a5 = fx.alt5().with_rank_cap(60)
+    tables = {(h.table, h.star): h
+              for h in [*corpus.values(), *group_quotients.values(), a5]}
+    for h in tables.values():
+        table, star = sets_of(h)
+        for f in closed_subsets(h).subsets:
+            gens = _generating_mask(h, f)
+            assert closure(h, gens) == f
+            for x in range(h.rank):
+                got = core._join(h, f, gens | 1 << x)
+                assert got == closure(h, f | 1 << x)
+                if not f >> x & 1:
+                    assert got == mask_of(naive_closure(table, star, members(f) + (x,)))
+
+
 def _mutated_tables(rng, h, count):
     """Copies of h's table and star with a few random defects each."""
     n = h.rank

@@ -1,6 +1,7 @@
 import pytest
 
 from hypergroups import (
+    InternalConsistencyError,
     RankCapError,
     closed_subsets,
     closure,
@@ -18,6 +19,7 @@ from hypergroups.lattice import conjugations
 from oracles import (
     climb,
     naive_closed_subsets,
+    naive_conjugations,
     naive_extension_closed_subsets,
     naive_normal_pairs,
     naive_product,
@@ -61,38 +63,42 @@ def test_s5_lattice_counts():
     assert len(lat.strongly_normal_in) == 570
 
 
+def _count_s5_joins(monkeypatch):
+    """(closure calls, join calls) of one enumeration of S5's lattice."""
+    closures, joins = [], []
+    real_closure, real_join = lattice.closure, lattice._join
+
+    def counting_closure(h, s):
+        closures.append(s)
+        return real_closure(h, s)
+
+    def counting_join(h, f, s):
+        joins.append((f, s))
+        return real_join(h, f, s)
+
+    monkeypatch.setattr(lattice, "closure", counting_closure)
+    monkeypatch.setattr(lattice, "_join", counting_join)
+    lat = closed_subsets(fx.sym5().with_rank_cap(120))
+    assert len(lat.subsets) == 156
+    return len(closures), len(joins)
+
+
 def test_s5_enumeration_extends_one_subset_per_conjugacy_class(monkeypatch):
     # Only one closed subset per orbit under thin conjugation is extended:
     # S5's 156 subgroups fall into 19 classes, and the enumeration makes
-    # 1 198 closure calls where extending every subgroup made 9 680.
-    calls = []
-    real = lattice.closure
-
-    def counting(h, s):
-        calls.append(s)
-        return real(h, s)
-
-    monkeypatch.setattr(lattice, "closure", counting)
-    lat = closed_subsets(fx.sym5().with_rank_cap(120))
-    assert len(lat.subsets) == 156
-    assert len(calls) < 2000
+    # 1 198 extensions where extending every subgroup made 9 680.
+    closures, joins = _count_s5_joins(monkeypatch)
+    assert joins < 2000
 
 
 def test_s5_enumeration_extends_once_per_stabilizer_orbit(monkeypatch):
     # A representative is extended by one cyclic closure per orbit of its
-    # stabilizer, and cyclic closures are closed once per conjugacy class:
-    # 212 closure calls where one extension per cyclic closure made 1 198.
-    calls = []
-    real = lattice.closure
-
-    def counting(h, s):
-        calls.append(s)
-        return real(h, s)
-
-    monkeypatch.setattr(lattice, "closure", counting)
-    lat = closed_subsets(fx.sym5().with_rank_cap(120))
-    assert len(lat.subsets) == 156
-    assert len(calls) < 300
+    # stabilizer, and cyclic closures are closed once per orbit of
+    # elements, S5's 7 conjugacy classes: 205 joins and 7 closures, where
+    # one extension per cyclic closure made 1 198 closure calls.
+    closures, joins = _count_s5_joins(monkeypatch)
+    assert joins < 300
+    assert closures == 7
 
 
 def test_s5_relations_come_from_thin_generators(monkeypatch):
@@ -142,6 +148,29 @@ def test_thin_conjugations_are_automorphisms(corpus, group_quotients):
                 for q in range(h.rank):
                     image = mask_of(phi[r] for r in members(h.table[p][q]))
                     assert h.table[phi[p]][phi[q]] == image
+
+
+def test_composed_conjugations_match_the_table(corpus, group_quotients):
+    # Maps composed from a generating set of the thin elements against
+    # every map read off the table. Q8 and D4 have a nontrivial centre, so
+    # fewer distinct automorphisms than thin elements.
+    for h in [*corpus.values(), *group_quotients.values(),
+              fx.alt5().with_rank_cap(60), fx.sym5().with_rank_cap(120),
+              fx.quaternion8(), fx.dihedral4()]:
+        assert conjugations(h) == naive_conjugations(h)
+
+
+def test_conjugations_refuse_a_product_of_thin_elements_not_a_singleton():
+    # C4 with the product 1 . 2 broken to {0, 3} past validation: the map
+    # of the generator 1 still reads as a permutation, and composing the
+    # map of 1 . 2 meets the broken product, an internal error, not a
+    # KeyError.
+    c4 = fx.cyclic(4).with_rank_cap(4)
+    rows = [list(row) for row in c4.table]
+    rows[1][2] = 0b1001
+    c4.table = tuple(map(tuple, rows))
+    with pytest.raises(InternalConsistencyError):
+        conjugations(c4)
 
 
 def test_relations_match_the_naive_pairs(corpus, group_quotients):
