@@ -26,7 +26,7 @@ from .errors import (
     StructuralError,
     ValencyUndefinedError,
 )
-from .formats import load_any, load_as, serialize_hypergroup
+from .formats import _newlines, load_any, load_as, serialize_hypergroup
 from .hall import pi_radical, solvability_suite, verify_hall
 from .lattice import closed_subsets
 from .quotient import quotient
@@ -34,8 +34,8 @@ from .sigma import parse_partition, parse_selection
 from .valency import is_residually_thin, valency
 
 # A table failing the axioms while a file is read for analysis is corrupt input.
-INPUT_ERRORS = (OSError, UnicodeDecodeError, ParseError, StructuralError,
-                PartitionSyntaxError, RankCapError, InvalidHypergroupError)
+INPUT_ERRORS = (OSError, ParseError, StructuralError, PartitionSyntaxError,
+                RankCapError, InvalidHypergroupError)
 
 
 def _emit(args, machine_obj, human_lines):
@@ -52,8 +52,13 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:  # exc.object holds the file's bytes
+        line = _newlines(exc.object[:exc.start].decode("utf-8")).count("\n") + 1
+        raise ParseError(f"cannot decode byte 0x{exc.object[exc.start]:02x} as "
+                         f"UTF-8: {exc.reason}", line) from None
 
 
 def _load(args) -> FiniteHypergroup:

@@ -205,15 +205,12 @@ def _thin_associative(t, n):
     element; it does not carry over to tables that are not thin. See A. H.
     Clifford & G. B. Preston, The Algebraic Theory of Semigroups I, 1961.
     """
-    index = {1 << i: i for i in range(n)}
-    e = []  # e[x][y] = xy as an element
-    for row in t:
-        e.append(tuple(map(index.get, row)))
-        if None in e[-1]:
-            return False
-    if n == 1:  # t is [[{0}]]; itemgetter below needs two indices
-        return True
-    h2 = [row[0] for row in e] == list(range(n))
+    # Entries are nonempty, so t is thin iff its bit counts sum to n n.
+    if sum(map(int.bit_count, chain.from_iterable(t))) != n * n:
+        return False
+    # x is named x + 1 = (1 << x).bit_length() here: e[x][y + 1] = xy + 1
+    e = [(0, *map(int.bit_length, row)) for row in t]
+    h2 = [row[1] for row in e] == list(range(1, n + 1))
     gens, seen = [], [0] if h2 else []
     reached = bytearray(n)
     reached[0] = h2
@@ -227,17 +224,17 @@ def _thin_associative(t, n):
         work += [(g, h) for h in gens]
         while work:
             a, h = work.pop()
-            b = e[a][h]
+            b = e[a][h + 1] - 1
             if not reached[b]:
                 reached[b] = 1
                 seen.append(b)
                 work += [(b, k) for k in gens]
-    flat = tuple(chain.from_iterable(e))  # flat[x n + y] = xy
+    products = [itemgetter(*row[1:]) for row in e]  # (v[xy + 1] for y)
     for a in gens:
-        col = tuple(row[a] for row in e)  # col[z] = za
+        col = (0, *(row[a + 1] for row in e))  # col[z + 1] = za + 1
+        right = itemgetter(*col[1:])  # (v[ya + 1] for y)
         # (xy)a against x(ya), row by row over x
-        if (tuple(map(col.__getitem__, flat))
-                != tuple(chain.from_iterable(map(itemgetter(*col), e)))):
+        if any(xy(col) != right(row) for xy, row in zip(products, e)):
             return False
     return True
 

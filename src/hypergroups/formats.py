@@ -27,27 +27,21 @@ is kept.
 
 from __future__ import annotations
 
-from operator import add
+from functools import reduce
+from operator import add, or_
 
 from .bitset import bits, mask_of, members
 from .core import FiniteHypergroup
 from .errors import InvalidHypergroupError, ParseError
 
 
-def _relabel(rank, star, table, ident):
-    # Swap 0 and the declared identity index; the swap is its own inverse.
-    perm = list(range(rank))
-    perm[0], perm[ident] = ident, 0
-    new_star = tuple(perm[star[perm[i]]] for i in range(rank))
-    new_table = tuple(
-        tuple(mask_of(perm[x] for x in bits(table[perm[p]][perm[q]]))
-              for q in range(rank))
-        for p in range(rank))
-    return new_star, new_table
+def _newlines(text: str) -> str:
+    """text with each \\r\\n and \\r made \\n: the line breaks open() reads."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _meaningful_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_newlines(text).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
@@ -105,16 +99,30 @@ def _square(lines, count_line: str, count_what: str, row_what: str,
 
 
 def parse_document(text: str) -> FiniteHypergroup:
-    """The validated hypergroup of a native document, identity relabeled to 0."""
+    """The validated hypergroup of a native document, identity relabeled to 0.
+
+    An entry line 'p q : members' whose indices and members are in range,
+    for a new (p, q), is split once and stored, each distinct member text
+    converted once; every other line takes every check, in order."""
     lines = list(_meaningful_lines(text))
     name = _header(lines, "hypergroup", "H")
-    rank = None
-    star = None
+    rank = star = None
     identity = 0
     identity_line = lines[0][0]
-    entries: dict[tuple[int, int], int] = {}
+    cells: dict[int, int] = {}  # p * rank + q -> mask of entry (p, q)
+    masks: dict[str, int] = {}  # member text -> its mask
     headers = set()
     for lineno, line in lines[1:]:
+        parts = line.split(None, 3)
+        if rank and len(parts) == 4 and parts[2] == ":" and parts[0].isdecimal():
+            try:
+                p, q = int(parts[0]), int(parts[1])
+            except ValueError:  # q is no integer, or p has too many digits
+                p = q = rank
+            mask = masks.get(parts[3]) or _members_mask(parts[3], rank)
+            if mask and p < rank and 0 <= q < rank and p * rank + q not in cells:
+                cells[p * rank + q] = masks[parts[3]] = mask
+                continue
         toks = line.split()
         key = toks[0]
         if key in headers:
@@ -141,26 +149,7 @@ def parse_document(text: str) -> FiniteHypergroup:
             if any(not 0 <= x < rank for x in star):
                 raise ParseError("star index out of range", lineno)
         elif key.lstrip("-").isdigit():
-            if rank is None:
-                raise ParseError("table entry before rank", lineno)
-            if ":" not in toks:
-                raise ParseError("table entry needs 'p q : members'", lineno)
-            sep = toks.index(":")
-            if sep != 2:
-                raise ParseError("table entry needs exactly two indices before ':'",
-                                 lineno)
-            p = _int(toks[0], lineno, "row index")
-            q = _int(toks[1], lineno, "column index")
-            if not (0 <= p < rank and 0 <= q < rank):
-                raise ParseError(f"entry indices ({p},{q}) out of range", lineno)
-            mem = [_int(t, lineno, "member index") for t in toks[3:]]
-            if not mem:
-                raise ParseError(f"empty product set at ({p},{q})", lineno)
-            if any(x < 0 or x >= rank for x in mem):
-                raise ParseError(f"product member out of range at ({p},{q})", lineno)
-            if (p, q) in entries:
-                raise ParseError(f"duplicate table entry ({p},{q})", lineno)
-            entries[(p, q)] = mask_of(mem)
+            _entry(toks, lineno, rank, cells)
         else:
             raise ParseError(f"unrecognized line {key!r}", lineno)
     if rank is None:
@@ -169,15 +158,50 @@ def parse_document(text: str) -> FiniteHypergroup:
         raise ParseError("missing star line", lines[-1][0])
     if not (0 <= identity < rank):
         raise ParseError("identity index out of range", identity_line)
-    missing = next(((p, q) for p in range(rank) for q in range(rank)
-                    if (p, q) not in entries), None)
-    if missing is not None:
+    if len(cells) < rank * rank:
+        missing = next(divmod(k, rank) for k in range(rank * rank)
+                       if k not in cells)
         raise ParseError(f"missing table entry {missing}", lines[-1][0])
-    table = tuple(tuple(entries[(p, q)] for q in range(rank))
-                  for p in range(rank))
-    if identity != 0:
-        star, table = _relabel(rank, star, table, identity)
+    flat = map(cells.__getitem__, range(rank * rank))
+    table = tuple(zip(*[flat] * rank))
+    if identity:  # swap 0 and the declared identity, a swap its own inverse
+        perm = [identity, *range(1, identity), 0, *range(identity + 1, rank)]
+        star = tuple(perm[star[x]] for x in perm)
+        table = tuple(tuple(mask_of(perm[x] for x in bits(table[p][q]))
+                            for q in perm) for p in perm)
     return FiniteHypergroup(table, star, name=name)
+
+
+def _members_mask(text: str, rank: int) -> int:
+    """Mask of a member list of integers in 0..rank-1, else a false value."""
+    try:
+        idx = list(map(int, text.split()))
+    except ValueError:
+        return 0
+    return 0 <= min(idx) and max(idx) < rank and reduce(or_, map((1).__lshift__, idx))
+
+
+def _entry(toks, lineno: int, rank, cells) -> None:
+    """Check the entry line toks and store its mask in cells at p * rank + q."""
+    if rank is None:
+        raise ParseError("table entry before rank", lineno)
+    if ":" not in toks:
+        raise ParseError("table entry needs 'p q : members'", lineno)
+    if toks.index(":") != 2:
+        raise ParseError("table entry needs exactly two indices before ':'",
+                         lineno)
+    p = _int(toks[0], lineno, "row index")
+    q = _int(toks[1], lineno, "column index")
+    if not (0 <= p < rank and 0 <= q < rank):
+        raise ParseError(f"entry indices ({p},{q}) out of range", lineno)
+    mem = [_int(t, lineno, "member index") for t in toks[3:]]
+    if not mem:
+        raise ParseError(f"empty product set at ({p},{q})", lineno)
+    if any(x < 0 or x >= rank for x in mem):
+        raise ParseError(f"product member out of range at ({p},{q})", lineno)
+    if p * rank + q in cells:
+        raise ParseError(f"duplicate table entry ({p},{q})", lineno)
+    cells[p * rank + q] = mask_of(mem)
 
 
 def serialize_hypergroup(H: FiniteHypergroup) -> str:

@@ -3,7 +3,9 @@
 Everything here works on plain python sets and integer Cayley tables, not
 on the package's bitmask representation, and recomputes results by direct
 enumeration so the main code paths are checked against a second route. The
-five exceptions are naive_conjugations, which reads every conjugation map
+six exceptions are naive_parse_document, which is the native reader
+with its per-token checks, reading lines and integers through the
+package's own helpers, naive_conjugations, which reads every conjugation map
 off the package's bitmask table, climb, which searches the package's own
 lattice relations depth first for chains, naive_solvability_suite, which
 asks the package's own sigma-solvability test about every quotient and
@@ -85,11 +87,14 @@ def naive_cayley_read(text: str):
     symbols row by row, the identity row and column, then row i and column
     i of the Latin square for each i in turn, and associativity, reported
     at the line of the witness's first element.
+    Lines break only at \\n,
+    \\r\\n and \\r, the breaks that open() reads.
     """
     from hypergroups.errors import ParseError
 
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    breaks = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(breaks.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append((lineno, line))
@@ -153,6 +158,98 @@ def naive_cayley_read(text: str):
             f"not associative at ({symbols[a]},{symbols[b]},{symbols[c]})",
             rows[a][0])
     return masks, tuple(row.index(0) for row in table)
+
+
+def naive_parse_document(text: str):
+    """The validated hypergroup of a native document, or its error, read
+    with every check on every line, one member token at a time, entries
+    collected by (p, q). Lines come from the package's own
+    _meaningful_lines, so line numbering is shared, not re-derived.
+    """
+    from hypergroups.bitset import bits, mask_of
+    from hypergroups.core import FiniteHypergroup
+    from hypergroups.errors import ParseError
+    from hypergroups.formats import _header, _int, _meaningful_lines
+
+    lines = list(_meaningful_lines(text))
+    name = _header(lines, "hypergroup", "H")
+    rank = None
+    star = None
+    identity = 0
+    identity_line = lines[0][0]
+    entries: dict[tuple[int, int], int] = {}
+    headers = set()
+    for lineno, line in lines[1:]:
+        toks = line.split()
+        key = toks[0]
+        if key in headers:
+            raise ParseError(f"duplicate {key} line", lineno)
+        if key in ("rank", "identity", "star"):
+            headers.add(key)
+        if key == "rank":
+            if len(toks) != 2:
+                raise ParseError("rank line needs one integer", lineno)
+            rank = _int(toks[1], lineno, "rank")
+            if rank < 1:
+                raise ParseError("rank must be positive", lineno)
+        elif key == "identity":
+            if len(toks) != 2:
+                raise ParseError("identity line needs one index", lineno)
+            identity = _int(toks[1], lineno, "identity index")
+            identity_line = lineno
+        elif key == "star":
+            if rank is None:
+                raise ParseError("star line before rank", lineno)
+            if len(toks) != rank + 1:
+                raise ParseError(f"star line needs {rank} indices", lineno)
+            star = tuple(_int(t, lineno, "star index") for t in toks[1:])
+            if any(not 0 <= x < rank for x in star):
+                raise ParseError("star index out of range", lineno)
+        elif key.lstrip("-").isdigit():
+            if rank is None:
+                raise ParseError("table entry before rank", lineno)
+            if ":" not in toks:
+                raise ParseError("table entry needs 'p q : members'", lineno)
+            sep = toks.index(":")
+            if sep != 2:
+                raise ParseError("table entry needs exactly two indices before ':'",
+                                 lineno)
+            p = _int(toks[0], lineno, "row index")
+            q = _int(toks[1], lineno, "column index")
+            if not (0 <= p < rank and 0 <= q < rank):
+                raise ParseError(f"entry indices ({p},{q}) out of range", lineno)
+            mem = [_int(t, lineno, "member index") for t in toks[3:]]
+            if not mem:
+                raise ParseError(f"empty product set at ({p},{q})", lineno)
+            if any(x < 0 or x >= rank for x in mem):
+                raise ParseError(f"product member out of range at ({p},{q})", lineno)
+            if (p, q) in entries:
+                raise ParseError(f"duplicate table entry ({p},{q})", lineno)
+            entries[(p, q)] = mask_of(mem)
+        else:
+            raise ParseError(f"unrecognized line {key!r}", lineno)
+    if rank is None:
+        raise ParseError("missing rank line", lines[-1][0])
+    if star is None:
+        raise ParseError("missing star line", lines[-1][0])
+    if not (0 <= identity < rank):
+        raise ParseError("identity index out of range", identity_line)
+    missing = next(((p, q) for p in range(rank) for q in range(rank)
+                    if (p, q) not in entries), None)
+    if missing is not None:
+        raise ParseError(f"missing table entry {missing}", lines[-1][0])
+    table = tuple(tuple(entries[(p, q)] for q in range(rank))
+                  for p in range(rank))
+    if identity != 0:
+        # Swap 0 and the declared identity index; the swap is its own inverse.
+        perm = list(range(rank))
+        perm[0], perm[identity] = identity, 0
+        star = tuple(perm[star[perm[i]]] for i in range(rank))
+        table = tuple(
+            tuple(mask_of(perm[x] for x in bits(table[perm[p]][perm[q]]))
+                  for q in range(rank))
+            for p in range(rank))
+    return FiniteHypergroup(table, star, name=name)
 
 
 def naive_scheme_supports(mat) -> tuple[tuple[int, ...], ...]:

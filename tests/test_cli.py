@@ -62,6 +62,32 @@ def test_validate_corrupt_document(capsys, tmp_path):
     assert "missing table entry" in err
 
 
+def test_undecodable_byte_is_an_input_error_at_its_line(capsys, tmp_path):
+    # Written as bytes: the byte 0xe9 opens a three-byte sequence that a
+    # newline breaks off, on line 4 whichever line breaks come before it.
+    f = tmp_path / "latin1.hg"
+    f.write_bytes(b"hypergroup x\r\nrank 1\nstar 0\r0 0 : \xe9\n")
+    assert run(capsys, "validate", str(f)) == (
+        2, "", "error: cannot decode byte 0xe9 as UTF-8: invalid continuation "
+               "byte (line 4)\n")
+    f.write_bytes(b"hypergroup x\nrank 1\nstar 0\n0 0 : 0 \xe9")
+    assert run(capsys, "validate", str(f))[2] == (
+        "error: cannot decode byte 0xe9 as UTF-8: unexpected end of data "
+        "(line 4)\n")
+
+
+def test_line_breaks_of_a_readable_file_are_read_as_newlines(capsys, tmp_path):
+    # \r\n and \r each end one line, as open() reads them; a form feed
+    # does not, so the bad member is reported on line 5, not 6.
+    f = tmp_path / "breaks.hg"
+    f.write_bytes(b"hypergroup x\r\nrank 2\rstar 0 1\n0 0 : 0\x0c\r\n"
+                  b"0 1 : 2\n")
+    assert run(capsys, "validate", str(f)) == (
+        2, "", "error: product member out of range at (0,1) (line 5)\n")
+    f.write_bytes(b"hypergroup x\r\nrank 1\rstar 0\r\n0 0 : 0\r")
+    assert run(capsys, "validate", str(f)) == (0, "valid: yes\n", "")
+
+
 def test_analyze_bad_star_index_is_input_error(capsys, tmp_path):
     f = tmp_path / "bad_star.hg"
     f.write_text("hypergroup h\nrank 2\nidentity 1\nstar 0 5\n"

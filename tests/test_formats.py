@@ -24,6 +24,7 @@ from instance_checks import is_thin, isomorphic
 from oracles import (
     naive_associativity_witness,
     naive_cayley_read,
+    naive_parse_document,
     naive_scheme_supports,
 )
 
@@ -151,6 +152,36 @@ def test_missing_entry_of_a_large_rank_is_found_in_small_memory():
     assert str(err.value) == "missing table entry (0, 1) (line 4)"
     assert err.value.line == 4
     assert peak < 5 * 2**20
+
+
+def test_declared_rank_sizes_no_memory():
+    # A 37-byte document declaring rank ten million: the reader holds what
+    # the document holds, and stops at the missing star line.
+    text = "hypergroup big\nrank 10000000\n0 0 : 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "missing star line (line 3)"
+    assert peak < 5 * 2**20
+
+
+def test_line_numbers_count_only_line_breaks():
+    # The same bad document under each line break, with the separators
+    # that str.splitlines also breaks at placed inside lines.
+    body = ["hypergroup x", "rank 2\x0b", "star 0 1\x1c", "0 0 : 0\x1d",
+            "0 1 : 1\x1e", "1 0 : 1\x85", "1 1 : 0\u2028 1\u2029", "2 0 : 1"]
+    for br in ("\n", "\r\n", "\r"):
+        with pytest.raises(ParseError) as err:
+            parse_document(br.join(body) + br)
+        assert str(err.value) == "entry indices (2,0) out of range (line 8)"
+        cayley = br.join(["group g", "order 2", "e a\x0c", "a x\x85"]) + br
+        want = ("unknown symbol 'x' (line 4)", 4)
+        assert _read_or_error(cayley_to_hypergroup, cayley) == want
+        assert _read_or_error(naive_cayley_read, cayley) == want
 
 
 def test_parse_errors_carry_line_numbers():
@@ -476,6 +507,10 @@ MALFORMED = [
     ("validate", "hypergroup x\nrank 1\nidentity 1\nstar 0\n0 0 : 0\n",
      "identity index out of range (line 3)"),
     ("validate", "hypergroup x\nrank 1\nstar 0\n", "missing table entry (0, 0) (line 3)"),
+    # Only \n, \r\n and \r break lines; a form feed, \x85 or \u2028 is
+    # whitespace inside its line and moves no later line number.
+    ("analyze", "hypergroup x\nrank 2\nstar 0 1\n0 0 : 0\x0c\n0 1 : 1\n1 0 : 1\n"
+     "1 1 : 0 7\n", "product member out of range at (1,1) (line 7)"),
     # A repeated header line is an error at its own line, whichever comes
     # first: the last one used to win, dropping a table read under another.
     ("analyze", "hypergroup x\nrank 2\n0 0 : 0\n0 1 : 1\n1 0 : 1\n1 1 : 0\n"
@@ -496,6 +531,7 @@ MALFORMED = [
     ("validate", "group g\norder 2\ne e\ne e\n",
      "first row must list n distinct symbols (line 3)"),
     ("validate", "group g\norder 2\ne a\na b\n", "unknown symbol 'b' (line 4)"),
+    ("validate", "group g\norder 2\ne a\x0c\na c\n", "unknown symbol 'c' (line 4)"),
     ("validate", "group g\norder 3\ne a b\nb e a\na b e\n",
      "first symbol is not an identity: row/column mismatch at position 1 (line 3)"),
     ("validate", "group g\norder 3\ne a b\na a e\nb e a\n",
@@ -511,6 +547,8 @@ MALFORMED = [
     ("validate", "scheme s\npoints 2\n0 a\n1 0\n",
      "expected relation index, got 'a' (line 3)"),
     ("validate", "scheme s\npoints 2\n0 1\n1\n", "expected 2 entries in row, got 1 (line 4)"),
+    ("validate", "scheme s\npoints 2\n0 1\x85\u2028\n1 x\n",
+     "expected relation index, got 'x' (line 4)"),
     ("validate", "scheme s\npoints 2\n1 1\n1 0\n",
      "diagonal entry (0,0) must be relation 0 (line 3)"),
     ("validate", "scheme s\npoints 2\n0 2\n2 0\n",
@@ -535,3 +573,103 @@ def test_malformed_document_is_an_input_error(capsys, tmp_path, command, text,
     code = main(command.split() + [str(f)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+# The message of every ParseError the native reader raises, by its fixed
+# start; longer starts first where one begins another.
+NATIVE_ERRORS = (
+    "empty document", "expected 'hypergroup <name>' header",
+    "duplicate table entry", "duplicate", "rank line needs one integer",
+    "expected rank,", "rank must be positive", "identity line needs one index",
+    "expected identity index", "star line before rank", "star line needs",
+    "expected star index", "star index out of range", "table entry before rank",
+    "table entry needs 'p q : members'", "table entry needs exactly two",
+    "expected row index", "expected column index", "entry indices",
+    "expected member index", "empty product set", "product member out of range",
+    "unrecognized line", "missing rank line", "missing star line",
+    "identity index out of range", "missing table entry")
+
+# Tokens put in place of an index or a member: the reader's conversion must
+# take or refuse each exactly as the per-token checks do.
+ODD_TOKENS = ("-1", "-0", "+1", "1_0", "01", "١", "²", "x", "1.5",
+              "99", ":")
+
+
+def _outcome(read, text):
+    """(name, rank, star, table) of what read returns, or the exception's
+    type, message and line, with the violations of a table that fails the
+    axioms."""
+    try:
+        h = read(text)
+    except InvalidHypergroupError as err:
+        return "invalid", err.report.violations
+    except Exception as err:  # any exception, so that any difference shows
+        return type(err).__name__, str(err), getattr(err, "line", None)
+    return h.name, h.rank, h.star, h.table
+
+
+def _mutate(text, rng):
+    """text with one to three seeded edits of its lines or tokens."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        entries = [i for i, line in enumerate(lines) if " : " in line]
+        i = rng.choice(entries) if entries else len(lines) - 1
+        toks = lines[i].split(" ")
+        kind = rng.randrange(12)
+        if kind == 0:  # shuffle the entries
+            moved = [lines[j] for j in entries]
+            rng.shuffle(moved)
+            for j, line in zip(entries, moved):
+                lines[j] = line
+        elif kind == 1:
+            del lines[i]
+        elif kind == 2:  # the same entry again
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif kind == 3:  # the same cell with other members
+            lines.insert(rng.randrange(len(lines) + 1),
+                         " ".join(toks[:3] + [str(rng.randrange(3))]))
+        elif kind == 4:
+            lines[i] = " ".join(toks[:3] + [str(rng.randrange(3))])
+        elif kind == 5:  # in an entry, or in any line
+            i = rng.choice((i, rng.randrange(len(lines))))
+            toks = lines[i].split(" ")
+            toks[rng.randrange(len(toks))] = rng.choice(ODD_TOKENS)
+            lines[i] = " ".join(toks)
+        elif kind == 6:
+            lines[i] = rng.choice(("\t", "  ", " \t ")).join(toks) + \
+                rng.choice(("", "  # note", "\t#"))
+        elif kind == 7:
+            lines.insert(rng.randrange(1, len(lines) + 1),
+                         rng.choice(("# comment", "", "   ", "\t# c : 1")))
+        elif kind == 8:  # a second ':', or none after the indices
+            lines[i] = " ".join(toks + rng.choice(([":", "0"], [":"])))
+        elif kind == 9:
+            lines[i] = " ".join(toks[:3])
+        elif kind == 10:
+            lines.insert(rng.randrange(1, len(lines) + 1),
+                         f"identity {rng.choice(('0', '1', '2', '-1', 'x'))}")
+        else:  # a header line moved
+            j = rng.randrange(1, min(3, len(lines)))
+            lines.insert(rng.randrange(1, len(lines) + 1), lines.pop(j))
+    return "\n".join(lines) + "\n"
+
+
+def test_native_reader_matches_the_per_token_oracle(corpus, group_quotients):
+    # The reader against the one that checks every line token by token, on
+    # the error documents, the serialized corpus and group quotients, and
+    # seeded edits of them: the same table, or the same error and line, or
+    # the same violations. Every error message of the reader is reached.
+    docs = [serialize_hypergroup(h)
+            for h in (*corpus.values(), *group_quotients.values())]
+    texts = [text for _, text, _ in MALFORMED] + docs
+    rng = random.Random(7778)
+    small = [d for d in docs if len(d) < 600]
+    texts += [_mutate(rng.choice(small), rng) for _ in range(2500)]
+    texts += [_mutate(d, rng) for d in docs]
+    kinds = Counter()
+    for text in texts:
+        want = _outcome(naive_parse_document, text)
+        assert _outcome(parse_document, text) == want, text
+        kinds[next((p for p in NATIVE_ERRORS if str(want[1]).startswith(p)),
+                   want[0] if want[0] == "invalid" else "read")] += 1
+    assert set(kinds) == {*NATIVE_ERRORS, "invalid", "read"}, kinds
