@@ -506,10 +506,3 @@ class Chain:
     def step_orders(self) -> tuple[int, ...]:
         return tuple(len(double_cosets_in(self.base, lo, hi))
                      for lo, hi in zip(self.subsets, self.subsets[1:]))
-
-    @property
-    def order_product(self) -> int:
-        out = 1
-        for k in self.step_orders:
-            out *= k
-        return out

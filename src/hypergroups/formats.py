@@ -9,6 +9,7 @@ Native format, line by line, UTF-8 with LF endings and '#' comments:
 
 An optional "identity <i>" line after the rank relabels element i to 0 on
 parse; the serializer never emits it, since identity is always element 0.
+Every integer, in every format here, is ASCII digits after an optional '-'.
 
 Every reader returns the validated FiniteHypergroup; a table that breaks an
 axiom raises InvalidHypergroupError, which carries the validation report.
@@ -60,10 +61,13 @@ def _header(lines, keyword: str, default_name: str) -> str:
 
 
 def _int(tok: str, lineno: int, what: str) -> int:
+    """tok as an integer of the one grammar above, else ParseError."""
     try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"expected {what}, got {tok!r}", lineno) from None
+        if tok.isascii() and tok.removeprefix("-").isdecimal():
+            return int(tok)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(f"expected {what}, got {tok!r}", lineno)
 
 
 def _square(lines, count_line: str, count_what: str, row_what: str,
@@ -101,9 +105,10 @@ def _square(lines, count_line: str, count_what: str, row_what: str,
 def parse_document(text: str) -> FiniteHypergroup:
     """The validated hypergroup of a native document, identity relabeled to 0.
 
-    An entry line 'p q : members' whose indices and members are in range,
-    for a new (p, q), is split once and stored, each distinct member text
-    converted once; every other line takes every check, in order."""
+    An ASCII entry line 'p q : members' of digits in range, for a new
+    (p, q), is split once and stored, each distinct member text converted
+    once; every other line takes every check, in order."""
+    ascii_text = text.isascii()
     lines = list(_meaningful_lines(text))
     name = _header(lines, "hypergroup", "H")
     rank = star = None
@@ -114,13 +119,14 @@ def parse_document(text: str) -> FiniteHypergroup:
     headers = set()
     for lineno, line in lines[1:]:
         parts = line.split(None, 3)
-        if rank and len(parts) == 4 and parts[2] == ":" and parts[0].isdecimal():
+        if (rank and len(parts) == 4 and parts[2] == ":" and (ascii_text or line.isascii())
+                and parts[0].isdecimal() and parts[1].isdecimal()):
             try:
                 p, q = int(parts[0]), int(parts[1])
-            except ValueError:  # q is no integer, or p has too many digits
+            except ValueError:  # more digits than int() converts
                 p = q = rank
             mask = masks.get(parts[3]) or _members_mask(parts[3], rank)
-            if mask and p < rank and 0 <= q < rank and p * rank + q not in cells:
+            if mask and p < rank and q < rank and p * rank + q not in cells:
                 cells[p * rank + q] = masks[parts[3]] = mask
                 continue
         toks = line.split()
@@ -173,12 +179,14 @@ def parse_document(text: str) -> FiniteHypergroup:
 
 
 def _members_mask(text: str, rank: int) -> int:
-    """Mask of a member list of integers in 0..rank-1, else a false value."""
+    """Mask of an ASCII list of digit strings in 0..rank-1, else a false value."""
+    toks = text.split()
     try:
-        idx = list(map(int, text.split()))
-    except ValueError:
+        idx = list(map(int, toks))
+    except ValueError:  # not integers, or more digits than int() converts
         return 0
-    return 0 <= min(idx) and max(idx) < rank and reduce(or_, map((1).__lshift__, idx))
+    return (all(map(str.isdecimal, toks)) and max(idx) < rank
+            and reduce(or_, map((1).__lshift__, idx)))
 
 
 def _entry(toks, lineno: int, rank, cells) -> None:

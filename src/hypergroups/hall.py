@@ -25,7 +25,6 @@ from .core import (
     cached,
     complex_product,
     double_cosets_in,
-    is_closed,
     star_set,
 )
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     InternalConsistencyError,
     SearchExhaustedError,
 )
-from .lattice import closed_subsets, sweeps
+from .lattice import closed_subsets, positions, sweeps
 from .sigma import (
     PiSelection,
     PrimePartition,
@@ -45,6 +44,7 @@ from .sigma import (
 from .valency import (
     rt_chain,
     thin_chain,
+    thin_sweeps,
     valency,
     valency_of,
 )
@@ -104,10 +104,11 @@ def pi_valenced_violation(H: FiniteHypergroup, sigma: PrimePartition,
 
     For each subnormal closed U of Pi-number valency and each block b of
     the quotient over U, the product b* b must have Pi-number size whenever
-    it consists of thin elements. When such a product set is itself closed,
-    U must be strongly normal in its lift, which makes its valency its size
-    (see quotient), or an internal error is raised. Each b = U h U is read
-    in H through the lift U h* U h U of b* b. Stored per (sigma, Pi).
+    it consists of thin elements. When such a product set is itself closed
+    (a member of the lattice), U must be strongly normal in its lift, which
+    makes its valency its size (see quotient), or an internal error is
+    raised. Each b = U h U is read in H through the lift U h* U h U of
+    b* b. Stored per (sigma, Pi).
     """
     def compute():
         subnormal = subnormal_closed_subsets(H)
@@ -123,7 +124,7 @@ def pi_valenced_violation(H: FiniteHypergroup, sigma: PrimePartition,
                 size = sum(1 for c in blocks if c & s)
                 if not is_pi_number(size, sigma, pi):
                     return (u, next(bits(b)))
-                if is_closed(H, s) and \
+                if s in positions(H) and \
                         (u, s) not in closed_subsets(H).strongly_normal_in:
                     raise InternalConsistencyError(
                         "thin closed product set with valency differing from size")
@@ -365,15 +366,14 @@ def solvability_suite(H: FiniteHypergroup,
     solvable; and under the smallest partition, residually thin
     sigma-solvability coincides with the prime-step chain notion.
 
-    H//E is sigma-solvable iff H has a sigma-chain from E to the full set
-    (see quotient), so no quotient is built.
+    A closed C is sigma-solvable iff the sigma rule's up sweep reaches it,
+    and H//E iff H has a sigma-chain from E to the full set (see quotient),
+    iff the down sweep leaves E (thin_sweeps); no quotient is built.
     """
     lat = closed_subsets(H)
     h_solv = is_sigma_solvable(H, sigma)
     solv_lat = lat.subsets if h_solv else ()
-
-    def solvable_quotient(e):
-        return thin_chain(H, H.full, sigma, e) is not None
+    up, down = thin_sweeps(H, sigma)
 
     def check(name, cases):
         # Every (label, ok) case is an applicable instance; a case that is
@@ -384,19 +384,16 @@ def solvability_suite(H: FiniteHypergroup,
 
     return SolvabilitySuiteReport((
         check("closed_subsets_inherit_solvability",
-              ((f"closed subset {list(bits(c))}",
-                thin_chain(H, c, sigma) is not None) for c in solv_lat)),
+              ((f"closed subset {list(bits(c))}", c in up) for c in solv_lat)),
         check("quotients_by_normal_inherit_solvability",
-              ((f"quotient over normal {list(bits(e))}", solvable_quotient(e))
+              ((f"quotient over normal {list(bits(e))}", e in down)
                for e in solv_lat if (e, H.full) in lat.normal_in)),
         check("quotients_by_subnormal_inherit_solvability",
-              ((f"quotient over subnormal {list(bits(d))}", solvable_quotient(d))
+              ((f"quotient over subnormal {list(bits(d))}", d in down)
                for d in (subnormal_closed_subsets(H) if h_solv else ()))),
         check("solvable_part_and_quotient_force_solvability",
               ((f"assembled through {list(bits(e))}", h_solv)
-               for e in lat.subsets
-               if thin_chain(H, e, sigma) is not None
-               and solvable_quotient(e))),
+               for e in lat.subsets if e in up and e in down)),
         check("smallest_partition_matches_prime_step_chains",
               [("smallest-partition solvability disagrees with prime-step chains",
                 is_sigma_solvable(H, SMALLEST) == is_solvable(H))]

@@ -263,6 +263,12 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
         strongly_normal_in=frozenset(strong))
 
 
+def positions(H: FiniteHypergroup) -> dict[int, int]:
+    """Each closed subset -> its place in the lattice order, stored."""
+    return cached(H, "positions", lambda: {
+        m: i for i, m in enumerate(closed_subsets(H).subsets)})
+
+
 def sweeps(H: FiniteHypergroup, pairs, step_ok=None):
     """(up, down): one chain per closed subset along a lattice relation.
 
@@ -270,18 +276,24 @@ def sweeps(H: FiniteHypergroup, pairs, step_ok=None):
     C, passing step_ok(D, C), asked only when the step would settle an
     unsettled end from a settled one. Steps go to later subsets of the
     size-sorted lattice, so taken by target, or backward by source, they
-    read only settled ends. up maps each C that {0} reaches to ({0}, ...,
-    C) through the first D in lattice order, down each E that reaches the
-    full set to (E, ..., full set) through the last F, the full set first.
+    read only settled ends; both orders are sorted once per relation and
+    stored. up maps each C that {0} reaches to ({0}, ..., C) through the
+    first D in lattice order, down each E that reaches the full set to (E,
+    ..., full set) through the last F, the full set first.
     """
-    at = {m: i for i, m in enumerate(closed_subsets(H).subsets)}.__getitem__
-    steps = [(d, c) for d, c in pairs if d != c]
+    def sort():
+        at = positions(H)
+        steps = [(d, c) for d, c in pairs if d != c]
+        return (sorted(steps, key=lambda p: (at[p[1]], at[p[0]])),
+                sorted(steps, key=lambda p: (at[p[0]], at[p[1]]), reverse=True))
+
+    by_target, by_source = cached(H, ("steps", pairs), sort)
     up = {1: (1,)}
-    for d, c in sorted(steps, key=lambda p: (at(p[1]), at(p[0]))):
+    for d, c in by_target:
         if c not in up and d in up and (step_ok is None or step_ok(d, c)):
             up[c] = up[d] + (c,)
     down = {H.full: (H.full,)}
-    for e, f in sorted(steps, key=lambda p: (at(p[0]), at(p[1])), reverse=True):
+    for e, f in by_source:
         if e not in down and f in down and (step_ok is None or step_ok(e, f)):
             down[e] = (e,) + down[f]
     return up, down

@@ -1,14 +1,12 @@
-"""Residually thin chains and valencies.
-
-Every chain here is read off lattice.sweeps over the strongly normal pairs,
-one pair of sweeps per rule: closed subsets from the identity subset up
-to a closed top, or from a closed bottom up to the full set, each step
-quotient thin (lo is strongly normal in hi) and each step order passing
-the rule. To the full set a chain witnesses residual thinness, to a
-closed C its step orders multiply to the valency of C, and its rules give
-hall's sigma-solvable and solvable chains."""
+"""Residually thin chains and valencies, read off the sweeps of the
+strongly normal pairs (lattice.sweeps), one pair of sweeps per rule. To
+the full set a chain witnesses residual thinness, to a closed C its step
+orders multiply to the valency of C, and its rules give hall's
+sigma-solvable and solvable chains."""
 
 from __future__ import annotations
+
+from math import prod
 
 from .core import (
     Chain,
@@ -17,35 +15,38 @@ from .core import (
     double_cosets_in,
     is_closed,
 )
-from .errors import InternalConsistencyError, PreconditionError, ValencyUndefinedError
-from .lattice import closed_subsets, sweeps
+from .errors import (
+    HypergroupError,
+    InternalConsistencyError,
+    PreconditionError,
+    ValencyUndefinedError,
+)
+from .lattice import closed_subsets, positions, sweeps
 from .sigma import is_prime, spans_single_class
 
 
-def thin_chain(H: FiniteHypergroup, top: int, rule=None,
-               bottom: int = 1) -> Chain | None:
-    """Chain bottom = C0 < ... < Ck = top with thin steps, or None.
-
-    rule restricts the step orders, the numbers of double cosets of Ci in
-    Ci+1: None admits every order, a PrimePartition the orders whose prime
-    divisors lie in one of its classes, and is_prime the prime orders. None
-    means no such chain exists. Both ends must be closed, and one must be
-    an end of the lattice: bottom the identity subset or top the full set.
-    From a closed bottom E to the full set it is a chain of H//E from its
-    identity (see quotient). Both sweeps are stored once per rule.
-    """
+def thin_sweeps(H: FiniteHypergroup, rule=None) -> tuple[dict, dict]:
+    """(up, down) of lattice.sweeps over the strongly normal pairs, stored
+    per rule: None admits every step order (the number of double cosets of
+    lo in hi), a PrimePartition the orders whose prime divisors lie in one
+    of its classes, and is_prime the prime orders."""
     def order_ok(lo, hi):
         n = len(double_cosets_in(H, lo, hi))
         return is_prime(n) if rule is is_prime else spans_single_class(n, rule)
 
     step_ok = None if rule is None else order_ok
+    return cached(H, ("chains", rule), lambda: sweeps(
+        H, closed_subsets(H).strongly_normal_in, step_ok))
 
-    def chains():
-        lattice = closed_subsets(H)
-        return sweeps(H, lattice.strongly_normal_in, step_ok) + (lattice.subsets,)
 
-    up, down, subsets = cached(H, ("chains", rule), chains)
-    if H.subset(top) not in subsets or H.subset(bottom) not in subsets:
+def thin_chain(H: FiniteHypergroup, top: int, rule=None,
+               bottom: int = 1) -> Chain | None:
+    """Chain bottom = C0 < ... < Ck = top of thin steps under rule (see
+    thin_sweeps), or None. Both ends must be closed, bottom {0} or top the
+    full set; from a closed E it is a chain of H//E (see quotient)."""
+    up, down = thin_sweeps(H, rule)
+    closed = positions(H)
+    if H.subset(top) not in closed or H.subset(bottom) not in closed:
         raise PreconditionError("thin_chain requires closed ends")
     if bottom != 1 and top != H.full:
         raise PreconditionError(
@@ -68,37 +69,41 @@ def is_residually_thin(H: FiniteHypergroup) -> bool:
 
 
 def valency(H: FiniteHypergroup) -> int:
-    """Product of the step quotient orders of a residually thin chain.
-
-    Independent of the chain chosen, which the test suite checks over all
-    chains and no proof here records; read off one chain, the one the
-    forward sweep keeps. Undefined, and an error, when the hypergroup is
-    not residually thin.
+    """Product of the step quotient orders of a residually thin chain, the
+    one the forward sweep keeps. Independent of the chain chosen, which no
+    proof here records; the test suite checks it over every chain of every
+    input it reads. Undefined, and an error, when H is not residually thin.
     """
     chain = rt_chain(H)
     if chain is None:
         raise ValencyUndefinedError(
             f"{H.name} is not residually thin, valency undefined")
-    return chain.order_product
+    return prod(chain.step_orders)
 
 
 def valency_of(H: FiniteHypergroup, C) -> int:
-    """Valency of a closed subset, as a hypergroup in its own right.
-
-    Read off a residually thin chain from the identity up to C in H's own
-    lattice. Defined whenever the ambient hypergroup is residually thin,
-    because closed subsets inherit residual thinness; the result always
-    divides the ambient valency, and a failure of either guarantee is an
-    internal error.
+    """Valency of a closed subset, as a hypergroup in its own right: the
+    product of the step orders of the forward sweep's chain from {0} to C.
+    Defined whenever H is residually thin, as closed subsets inherit
+    residual thinness, and it divides H's valency; a failure of either
+    guarantee is an internal error. A mask that is not closed is refused
+    before any refusal of H, and closedness is tested only on a miss.
     """
     cm = H.subset(C)
-    if not is_closed(H, cm):
+    refusal = path = None
+    try:
+        ambient = valency(H)
+        path = thin_sweeps(H)[0].get(cm)
+    except HypergroupError as exc:
+        refusal = exc
+    if path is None and not is_closed(H, cm):
         raise PreconditionError("valency_of requires a closed subset")
-    ambient = valency(H)
-    chain = thin_chain(H, cm)
-    if chain is None:
+    if refusal is not None:
+        raise refusal
+    if path is None:
         raise InternalConsistencyError(
             "closed subset of a residually thin hypergroup must be residually thin")
-    if ambient % chain.order_product:
+    n = prod(len(double_cosets_in(H, lo, hi)) for lo, hi in zip(path, path[1:]))
+    if ambient % n:
         raise InternalConsistencyError("subset valency does not divide the ambient one")
-    return chain.order_product
+    return n

@@ -3,11 +3,12 @@
 Everything here works on plain python sets and integer Cayley tables, not
 on the package's bitmask representation, and recomputes results by direct
 enumeration so the main code paths are checked against a second route. The
-six exceptions are naive_parse_document, which is the native reader
+seven exceptions are naive_parse_document, which is the native reader
 with its per-token checks, reading lines and integers through the
 package's own helpers, naive_conjugations, which reads every conjugation map
 off the package's bitmask table, climb, which searches the package's own
-lattice relations depth first for chains, naive_solvability_suite, which
+lattice relations depth first for chains, chain_products, which runs over
+the package's strongly normal pairs, naive_solvability_suite, which
 asks the package's own sigma-solvability test about every quotient and
 sub-hypergroup separately, naive_hall_constructive, which searches the
 quotient over the Pi-radical in that quotient's own lattice, and
@@ -487,6 +488,34 @@ def climb(H, pairs, bottom: int, top: int, step_ok=None):
             dead.add(f)
 
     yield from walk(bottom)
+
+
+def chain_products(H) -> dict[int, set[int]]:
+    """Each closed C that a thin chain ({0}, ..., C) reaches -> the set of
+    the step-order products of all such chains.
+
+    A dynamic programme over the strongly normal pairs of the package's
+    lattice, in its size-sorted order, so every D below C is settled first:
+    the products at C are those at each reached D, times the number of
+    double cosets of D in C, counted on python sets. The valency of C is
+    independent of the chain iff its set has one member. The exhaustive
+    second route for valency and valency_of.
+    """
+    from hypergroups import closed_subsets, members
+
+    table, _ = sets_of(H)
+    lat = closed_subsets(H)
+    below: dict[int, list[int]] = {}
+    for d, c in lat.strongly_normal_in:
+        if d != c:
+            below.setdefault(c, []).append(d)
+    products = {1: {1}}
+    for c in lat.subsets:
+        for d in below.get(c, ()):
+            if d in products:
+                k = len(naive_double_cosets(table, members(d), members(c)))
+                products.setdefault(c, set()).update(p * k for p in products[d])
+    return products
 
 
 # ---------------------------------------------------------------------------

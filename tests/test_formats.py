@@ -654,6 +654,50 @@ def _mutate(text, rng):
     return "\n".join(lines) + "\n"
 
 
+# Each integer position of a native document: the line of the rank-2 table
+# below, its template, and the refusal of a token that is not an integer.
+C2_DOC = """hypergroup c2
+rank 2
+identity 0
+star 0 1
+0 0 : 0
+0 1 : 1
+1 0 : 1
+1 1 : 0
+"""
+INT_POSITIONS = {
+    "row": ("1 0 : 1", "{} 0 : 1", "expected row index, got {!r}"),
+    "column": ("0 1 : 1", "0 {} : 1", "expected column index, got {!r}"),
+    "member": ("1 1 : 0", "1 1 : 0 {}", "expected member index, got {!r}"),
+    "rank": ("rank 2", "rank {}", "expected rank, got {!r}"),
+    "star": ("star 0 1", "star {} 1", "expected star index, got {!r}"),
+    "identity": ("identity 0", "identity {}", "expected identity index, got {!r}"),
+}
+
+
+def test_native_integers_have_one_grammar():
+    # An integer is ASCII digits with an optional leading '-' in every
+    # position: such a token reads as its value written plainly would, and
+    # any other is refused at its line. A row token that is no digit
+    # string, of any script, after its '-' makes the line unrecognized.
+    for position, (line, template, refusal) in INT_POSITIONS.items():
+        lineno = C2_DOC.splitlines().index(line) + 1
+        for tok in ODD_TOKENS:
+            got = _outcome(parse_document, C2_DOC.replace(line, template.format(tok)))
+            if tok.lstrip("-").isascii() and tok.lstrip("-").isdigit():
+                plain = template.format(int(tok))
+                assert got == _outcome(parse_document, C2_DOC.replace(line, plain)), \
+                    (position, tok)
+                continue
+            message = refusal.format(tok)
+            if position == "row" and not tok.isdigit():
+                message = f"unrecognized line {tok!r}"
+            elif position == "column" and tok == ":":
+                message = "table entry needs exactly two indices before ':'"
+            assert got == ("ParseError", f"{message} (line {lineno})", lineno), \
+                (position, tok)
+
+
 def test_native_reader_matches_the_per_token_oracle(corpus, group_quotients):
     # The reader against the one that checks every line token by token, on
     # the error documents, the serialized corpus and group quotients, and

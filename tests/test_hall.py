@@ -1,4 +1,7 @@
 import importlib
+import sys
+from collections import Counter
+from math import prod
 
 import pytest
 
@@ -41,7 +44,7 @@ from hypergroups import (
     verify_hall,
 )
 from hypergroups import fixtures as fx
-from hypergroups import hall
+from hypergroups import core, hall, lattice
 from hypergroups.cli import main
 
 from instance_checks import is_thin
@@ -412,7 +415,7 @@ def test_quotient_chains_are_read_from_the_modulus(corpus, groups):
                 there = hall.thin_chain(q, q.full, rule)
                 assert (here is None) == (there is None), (h.name, e, rule)
                 if here is not None:
-                    assert here.order_product == there.order_product, \
+                    assert prod(here.step_orders) == prod(there.step_orders), \
                         (h.name, e, rule)
 
 
@@ -547,6 +550,46 @@ def test_chains_are_stored_once_per_rule():
     assert keys == {("chains", None), ("chains", SMALLEST), ("chains", is_prime)}
 
 
+def test_a5_hall_closes_and_sorts_only_in_the_lattice(monkeypatch):
+    # On a fresh A5 under smallest {2}, the Hall report and the suite read
+    # closedness and valencies off the stored lattice and sweeps: every
+    # join and closure runs inside the enumeration (its cyclic closures
+    # and extensions), and each relation's steps are sorted once, by
+    # target and by source, however many rules sweep them.
+    a5 = fx.alt5()
+    a5 = FiniteHypergroup(a5.table, a5.star, name="a5", rank_cap=60)
+    lat = closed_subsets(a5)
+    enumerate_code = lattice._enumerate.__code__
+    outside = []
+    sorted_steps = Counter()
+
+    def watched(fn):
+        def call(*args):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not enumerate_code:
+                frame = frame.f_back
+            if frame is None:
+                outside.append((fn.__name__, args[1:]))
+            return fn(*args)
+        return call
+
+    def counting_sorted(items, **kwargs):
+        items = list(items)
+        sorted_steps[frozenset(items)] += 1
+        return sorted(items, **kwargs)
+
+    for module in (core, lattice):
+        monkeypatch.setattr(module, "_join", watched(core._join))
+        monkeypatch.setattr(module, "closure", watched(core.closure))
+    monkeypatch.setattr(lattice, "sorted", counting_sorted, raising=False)
+    verify_hall(a5, SMALLEST, _sel("{2}"))
+    solvability_suite(a5, SMALLEST)
+    assert outside == []
+    steps = [frozenset((d, c) for d, c in pairs if d != c)
+             for pairs in (lat.strongly_normal_in, lat.normal_in)]
+    assert sorted_steps == Counter(dict.fromkeys(steps, 2))
+
+
 def _suite_rows(monkeypatch, **fakes):
     with monkeypatch.context() as m:
         for name, fn in fakes.items():
@@ -558,25 +601,25 @@ def _suite_rows(monkeypatch, **fakes):
 def test_solvability_suite_reports_every_violation(monkeypatch):
     # Forced answers make each of the five checks report violations; the
     # labels, counts and order were recorded before the checks shared one
-    # pattern. The suite asks whether H//E is solvable as a chain of H
-    # from E, the only call that names a bottom.
-    real_chain = hall.thin_chain
+    # pattern. The suite reads a closed C as solvable when the sigma rule's
+    # up sweep reaches it, and H//E when the down sweep leaves E.
+    real_sweeps = hall.thin_sweeps
 
     def quotients_answer(solvable):
-        # A solvable quotient is answered by a forced one-step chain.
-        def chain(h, top, rule=None, bottom=None):
-            if bottom is None:
-                return real_chain(h, top, rule)
-            return Chain(h, (bottom, top)) if solvable else None
-        return chain
+        # Every quotient is answered solvable, or none is.
+        def sweeps(h, rule=None):
+            up = real_sweeps(h, rule)[0]
+            return up, dict.fromkeys(closed_subsets(h).subsets if solvable else ())
+        return sweeps
 
-    quotients_fail = _suite_rows(monkeypatch, thin_chain=quotients_answer(False))
-    only_quotients = _suite_rows(monkeypatch, thin_chain=quotients_answer(True),
+    def only_the_top(h, rule=None):
+        up, down = real_sweeps(h, rule)
+        return {c: path for c, path in up.items() if c == h.full}, down
+
+    quotients_fail = _suite_rows(monkeypatch, thin_sweeps=quotients_answer(False))
+    only_quotients = _suite_rows(monkeypatch, thin_sweeps=quotients_answer(True),
                                  is_sigma_solvable=lambda h, s: False)
-    no_chains_below_top = _suite_rows(
-        monkeypatch,
-        thin_chain=lambda h, top, rule=None, bottom=1:
-            real_chain(h, top, rule, bottom) if top == h.full else None)
+    no_chains_below_top = _suite_rows(monkeypatch, thin_sweeps=only_the_top)
     assert quotients_fail == [
         ("closed_subsets_inherit_solvability", 6, ()),
         ("quotients_by_normal_inherit_solvability", 3, (

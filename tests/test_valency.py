@@ -1,16 +1,19 @@
 from itertools import islice
+from math import prod
 
 import pytest
 
 from hypergroups import (
     Chain,
     PreconditionError,
+    RankCapError,
     ValencyUndefinedError,
     closed_subsets,
     closure,
     complex_product,
     is_closed,
     is_residually_thin,
+    load_any,
     mask_of,
     members,
     quotient,
@@ -26,7 +29,7 @@ from hypergroups import fixtures as fx
 from hypergroups.valency import thin_chain
 
 from instance_checks import is_thin
-from oracles import climb, naive_rt_chains, sets_of
+from oracles import chain_products, climb, naive_rt_chains, sets_of
 
 
 def _rt_chains(h, limit):
@@ -129,6 +132,29 @@ def test_thin_chain_refuses_an_end_that_is_not_closed(corpus):
         thin_chain(s3, s3.full, None, mask_of([0, rot]))
 
 
+def test_valency_of_and_thin_chain_refusals_keep_their_precedence(fixtures_dir):
+    # A mask that is not closed is refused before the hypergroup is asked
+    # for its valency or its lattice: k2 is not residually thin, and S4
+    # under a rank cap of 3 refuses its lattice, yet a non-closed mask of
+    # either is a PreconditionError; a closed one meets the refusal.
+    k2 = load_any((fixtures_dir / "k2.hg").read_text())
+    s4 = load_any((fixtures_dir / "s4.cayley").read_text()).with_rank_cap(3)
+    cases = [(k2, 2, PreconditionError, "closed subset"),
+             (k2, k2.full, ValencyUndefinedError, "not residually thin"),
+             (s4, 6, PreconditionError, "closed subset"),
+             (s4, 1, RankCapError, "exceeds the lattice cap"),
+             (k2, 1 << 2, PreconditionError, "out of range"),
+             (s4, -1, PreconditionError, "out of range")]
+    for h, mask, error, message in cases:
+        with pytest.raises(error, match=message):
+            valency_of(h, mask)
+    with pytest.raises(RankCapError):
+        thin_chain(s4, 6)
+    for top, bottom in ((2, 1), (k2.full, 2)):
+        with pytest.raises(PreconditionError, match="requires closed ends"):
+            thin_chain(k2, top, None, bottom)
+
+
 def test_subset_valency_divides(corpus):
     for h in corpus.values():
         if not is_residually_thin(h):
@@ -165,20 +191,25 @@ def test_s3_chains_frozen():
     s3 = fx.sym3()
     chains = _rt_chains(s3, limit=100)
     assert len(chains) == 2
-    products = {c.order_product for c in chains}
+    products = {prod(c.step_orders) for c in chains}
     assert products == {6}
     lengths = sorted(len(c.step_orders) for c in chains)
     assert lengths == [1, 2]
 
 
-def test_chain_order_product_independent(corpus):
-    for h in corpus.values():
+def test_chain_order_product_independent(corpus, group_quotients):
+    # Over every thin chain from {0}, not a sample: each closed subset that
+    # a chain reaches has one step-order product, and valency_of reads it.
+    # On residually thin input every closed subset is reached.
+    for name, h in [*corpus.items(), *group_quotients.items()]:
+        products = chain_products(h)
+        assert all(len(p) == 1 for p in products.values()), name
         if not is_residually_thin(h):
             continue
-        chains = _rt_chains(h, limit=100)
-        assert chains
-        assert len({c.order_product for c in chains}) == 1
-        assert chains[0].order_product == valency(h)
+        assert products.keys() == set(closed_subsets(h).subsets), name
+        assert {c: valency_of(h, c) for c in products} == \
+            {c: p.pop() for c, p in products.items()}, name
+        assert valency_of(h, h.full) == valency(h), name
 
 
 def test_valency_multiplicative_over_subnormal_quotients(corpus):
