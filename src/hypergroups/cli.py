@@ -26,7 +26,7 @@ from .errors import (
     StructuralError,
     ValencyUndefinedError,
 )
-from .formats import _newlines, load_any, load_as, serialize_hypergroup
+from .formats import _newlines, integer, load_any, load_as, serialize_hypergroup
 from .hall import pi_radical, solvability_suite, verify_hall
 from .lattice import closed_subsets
 from .quotient import quotient
@@ -146,7 +146,7 @@ def cmd_quotient(args) -> int:
     h = _load(args)
     spec = args.generators.strip()
     try:
-        gens = [int(tok) for tok in spec.split(",") if tok.strip()] if spec else []
+        gens = [integer(tok) for tok in spec.split(",") if tok.strip()] if spec else []
     except ValueError:
         raise StructuralError(f"bad generator list {spec!r}") from None
     if any(g < 0 or g >= h.rank for g in gens):
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="input document")
         p.add_argument("--machine", action="store_true",
                        help="JSON output with stable keys")
-        p.add_argument("--rank-cap", type=int, default=None,
+        p.add_argument("--rank-cap", type=integer, default=None,
                        help="raise the exhaustive-lattice refusal threshold")
         if sigma_pi:
             p.add_argument("--sigma", default="smallest",

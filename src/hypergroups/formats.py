@@ -9,7 +9,8 @@ Native format, line by line, UTF-8 with LF endings and '#' comments:
 
 An optional "identity <i>" line after the rank relabels element i to 0 on
 parse; the serializer never emits it, since identity is always element 0.
-Every integer, in every format here, is ASCII digits after an optional '-'.
+Every integer, in every format here and in every command-line argument,
+is ASCII digits after an optional '-' (integer).
 
 Every reader returns the validated FiniteHypergroup; a table that breaks an
 axiom raises InvalidHypergroupError, which carries the validation report.
@@ -60,14 +61,21 @@ def _header(lines, keyword: str, default_name: str) -> str:
     return parts[1].strip() if len(parts) > 1 else default_name
 
 
+def integer(tok: str) -> int:
+    """tok, spaces around it allowed, as an integer of the one grammar
+    above; anything else, or more digits than int() converts, is ValueError."""
+    tok = tok.strip()
+    if tok.isascii() and tok.removeprefix("-").isdecimal():
+        return int(tok)
+    raise ValueError(f"not an integer: {tok!r}")
+
+
 def _int(tok: str, lineno: int, what: str) -> int:
     """tok as an integer of the one grammar above, else ParseError."""
     try:
-        if tok.isascii() and tok.removeprefix("-").isdecimal():
-            return int(tok)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise ParseError(f"expected {what}, got {tok!r}", lineno)
+        return integer(tok)
+    except ValueError:
+        raise ParseError(f"expected {what}, got {tok!r}", lineno) from None
 
 
 def _square(lines, count_line: str, count_what: str, row_what: str,

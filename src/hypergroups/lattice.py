@@ -35,22 +35,6 @@ class ClosedSubsetLattice:
     strongly_normal_in: frozenset[tuple[int, int]]
 
 
-def _normality(H, E, F) -> tuple[bool, bool]:
-    """(E normal in F, E strongly normal in F), forming each E h once for
-    both tests; each test stops at its first failing h."""
-    normal = strong = True
-    for h in bits(F):
-        hm = 1 << h
-        eh = complex_product(H, E, hm)
-        normal = normal and not eh & ~complex_product(H, hm, E)
-        strong = strong and not complex_product(H, 1 << H.star[h], eh) & ~E
-        if not (normal or strong):
-            break
-    if strong and not normal:
-        raise InternalConsistencyError("strong normality without normality")
-    return normal, strong
-
-
 def closed_subsets(H: FiniteHypergroup) -> ClosedSubsetLattice:
     """Enumerate every closed subset and the normality relations.
 
@@ -149,7 +133,7 @@ def _fixes(auto: tuple[int, ...], gens, mask: int) -> bool:
 
 
 def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
-    """The lattice of closed_subsets, with two thin shortcuts.
+    """The lattice of closed_subsets, by orbits, and its two relations.
 
     Extension by stabilizer orbits: a representative F is extended by one
     cyclic closure c per orbit of its stabilizer {phi : phi(F) = F} among
@@ -163,41 +147,58 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
     The extension is _join from the larger of F and c, as F's generating
     mask with x generates both.
 
-    Normality from thin generators: when every member of F is thin, F is
-    the set of products of its generating mask and their stars (closure),
-    and E is normal in F iff it is strongly normal in F, iff phi_g(E) = E
-    for each generator g, where phi_g(x) = g* x g. For thin h the map x ->
-    hx is injective, so E h and h E both have |E| members, and E h inside
-    h E means E h = h E, which holds iff h* E h = E (multiply by h* on the
-    left, or by h, using h* h = h h* = {0} and H1). h* E h has |E| members
-    too, so h* E h inside E also means h* E h = E. Since phi_hk =
-    phi_k . phi_h and phi_h* is the inverse of phi_h, the h that fix E are
-    closed under products and star, so fixing E for each generator fixes it
-    for all of F. Every other F goes through _normality.
+    Normality from two masks per representative E: N(E) holds the h with
+    E h inside h E, S(E) the h with h* E h inside E, and E is normal
+    (strongly normal) in F iff F lies in N(E) (in S(E)). For thin h, x ->
+    hx and x -> xh are injective, so E h, h E and h* E h have |E| members
+    and each containment is an equality; E h = h E iff h* E h = E
+    (multiply by h* or by h on the left, as h* h = h h* = {0}, and use H1).
+    So the thin part of both masks is the h with phi_h(E) = E, read off the
+    stabilizer pass. Each non-thin h forms E h once for both tests. S(E)
+    lies in N(E): 0 lies in h h* by H3, so by H1 E h is inside h h* E h =
+    h (h* E h), inside h E when h is in S(E).
     """
     if H.rank > H.rank_cap:
         raise RankCapError(
             f"rank {H.rank} exceeds the lattice cap {H.rank_cap}; "
             "raise the cap explicitly to proceed")
-    conj = conjugations(H)
-    # The distinct automorphisms, the identity (h = 0) first.
-    autos = tuple(dict.fromkeys(conj.values()))
+    # The distinct automorphisms, each with the mask of the thin h that
+    # induce it, the identity (h = 0) first.
+    induced: dict[tuple[int, ...], int] = {}
+    for h, a in conjugations(H).items():
+        induced[a] = induced.get(a, 0) | 1 << h
+    autos = tuple(induced.items())
+    non_thin = members(H.full & ~thin_elements(H))
     rep_of: dict[int, tuple[int, tuple[int, ...]]] = {}
     stabilizer: dict[int, list[tuple[int, ...]]] = {}
+    masks: dict[int, tuple[int, int]] = {}  # representative -> (N, S)
 
     def add_orbit(g):
         # Each member of g's orbit -> (g, an automorphism carrying g onto
         # it), imaged only by the automorphisms that move g; those that fix
-        # g are kept as its stabilizer.
-        rep_of[g] = (g, autos[0])
+        # g are kept as its stabilizer, and their h join both masks.
+        rep_of[g] = (g, autos[0][0])
         g_gens = members(gens[g])
         elems = members(g)
         fixing = stabilizer[g] = []
-        for a in autos:
+        n_mask = 0
+        for a, hs in autos:
             if _fixes(a, g_gens, g):
                 fixing.append(a)
+                n_mask |= hs
             else:
                 rep_of.setdefault(_image(a, elems), (g, a))
+        s_mask = n_mask
+        for h in non_thin:
+            gh = complex_product(H, g, 1 << h)
+            is_normal = not gh & ~complex_product(H, 1 << h, g)
+            is_strong = not complex_product(H, 1 << H.star[h], gh) & ~g
+            if is_strong and not is_normal:
+                raise InternalConsistencyError(
+                    "strong normality without normality")
+            n_mask |= is_normal << h
+            s_mask |= is_strong << h
+        masks[g] = (n_mask, s_mask)
 
     # Element bit -> its cyclic closure, closed once per orbit of elements,
     # as phi(closure(x)) = closure(phi(x)); then each distinct cyclic
@@ -206,7 +207,7 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
     for x in range(H.rank):
         if 1 << x not in cyclic_of:
             elems = members(closure(H, 1 << x))
-            for a in autos:
+            for a, _ in autos:
                 cyclic_of[a[x]] = _image(a, elems)
     cyclic: dict[int, int] = {}
     for x in range(1, H.rank):
@@ -232,27 +233,14 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
     for m, (rep, a) in rep_of.items():
         orbits.setdefault(rep, []).append((m, a))
 
-    thin = thin_elements(H)
-    rep_gens = {e: members(g) for e, g in gens.items()}
     normal = set()
     strong = set()
     for f in subsets:
-        rep, a = rep_of[f]
         elems = members(f)
-        # When F is thin: the conjugations by its representative's
-        # generators, carried onto F.
-        f_autos = None if f & ~thin else [
-            conj[g] for g in bits(_image(a, rep_gens[rep]))]
         for e, orbit in orbits.items():
-            if e & ~f:
+            if e & ~f or f & ~masks[e][0]:
                 continue
-            if f_autos is None:
-                is_normal_pair, is_strong_pair = _normality(H, e, f)
-            else:
-                is_normal_pair = is_strong_pair = all(
-                    _fixes(g, rep_gens[e], e) for g in f_autos)
-            if not is_normal_pair:
-                continue
+            is_strong_pair = not f & ~masks[e][1]
             for m, b in orbit:
                 pair = (m, _image(b, elems))
                 normal.add(pair)

@@ -16,6 +16,7 @@ from itertools import count
 from math import gcd
 
 from .errors import PartitionSyntaxError
+from .formats import integer
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -186,7 +187,7 @@ def parse_partition(text: str) -> PrimePartition:
         if not chunk:
             raise PartitionSyntaxError("empty class in partition text")
         try:
-            primes = [int(tok) for tok in chunk.split(",")]
+            primes = [integer(tok) for tok in chunk.split(",")]
         except ValueError as exc:
             raise PartitionSyntaxError(f"bad prime list {chunk!r}") from exc
         classes.append(_distinct(primes, chunk))
@@ -213,7 +214,7 @@ def parse_selection(text: str, sigma: PrimePartition) -> PiSelection:
             if not (chunk.startswith("{") and chunk.endswith("}")):
                 raise PartitionSyntaxError(f"bad class literal {chunk!r}")
             try:
-                listed = [int(tok) for tok in chunk[1:-1].split(",")]
+                listed = [integer(tok) for tok in chunk[1:-1].split(",")]
             except ValueError as exc:
                 raise PartitionSyntaxError(f"bad class literal {chunk!r}") from exc
             primes = _distinct(listed, chunk)
@@ -226,7 +227,7 @@ def parse_selection(text: str, sigma: PrimePartition) -> PiSelection:
             picked.add(cls)
         return PiSelection(selected=frozenset(picked))
     try:
-        indices = [int(tok) for tok in text.split(",")]
+        indices = [integer(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise PartitionSyntaxError(f"bad class selection {text!r}") from exc
     if not sigma.classes:

@@ -25,7 +25,6 @@ from hypergroups import (
     pi_radical,
     prime_factors,
     quotient,
-    rt_chain,
     subnormal_closed_subsets,
     valency,
     valency_of,

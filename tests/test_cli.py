@@ -248,11 +248,47 @@ def test_hall_bad_pi_syntax(capsys, fixtures_dir):
     (("hall", "s3.cayley", "--sigma", "2|3", "--pi", "a"),
      "bad class selection 'a'"),
     (("quotient", "s3.cayley", "1,x"), "bad generator list '1,x'"),
+    # Each integer is ASCII digits after an optional '-', the formats'
+    # grammar; int() would read '+2' as 2, '2_3' as 23 and an Arabic-Indic
+    # digit as its value.
+    (("hall", "s3.cayley", "--sigma", "2_3|5", "--pi", "0"), "bad prime list '2_3'"),
+    (("hall", "s3.cayley", "--sigma", "+2|3", "--pi", "0"), "bad prime list '+2'"),
+    (("hall", "s3.cayley", "--sigma", "\u0662|3", "--pi", "0"),
+     "bad prime list '\u0662'"),
+    (("hall", "s3.cayley", "--pi", "{2_3}"), "bad class literal '{2_3}'"),
+    (("hall", "s3.cayley", "--pi", "{+3}"), "bad class literal '{+3}'"),
+    (("hall", "s3.cayley", "--sigma", "2|3", "--pi", "+0"), "bad class selection '+0'"),
+    (("hall", "s3.cayley", "--sigma", "2|3", "--pi", "0_0"),
+     "bad class selection '0_0'"),
+    (("quotient", "s3.cayley", "+1"), "bad generator list '+1'"),
+    (("quotient", "s3.cayley", "1_0"), "bad generator list '1_0'"),
+    (("quotient", "s3.cayley", "\u0661"), "bad generator list '\u0661'"),
 ])
 def test_syntax_errors_exit_two(capsys, fixtures_dir, argv, message):
     command, file, *rest = argv
     code, out, err = run(capsys, command, str(fixtures_dir / file), *rest)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("cap", ["1_0", "+10", "\u0661\u0660"])
+def test_rank_cap_takes_the_formats_grammar(capsys, fixtures_dir, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(fixtures_dir / "s3.cayley"), "--rank-cap", cap])
+    assert exc.value.code == 2
+    assert f"invalid integer value: {cap!r}" in capsys.readouterr().err
+
+
+def test_integer_arguments_allow_spaces_around_tokens(capsys, fixtures_dir):
+    s3 = str(fixtures_dir / "s3.cayley")
+    for spaced, plain in (
+            (("hall", s3, "--sigma", " 2 , 3 | 5 ", "--pi", " 0 "),
+             ("hall", s3, "--sigma", "2,3|5", "--pi", "0")),
+            (("hall", s3, "--pi", "{ 2 },{ 3 }"), ("hall", s3, "--pi", "{2},{3}")),
+            (("quotient", s3, " 1 , 2 "), ("quotient", s3, "1,2")),
+            (("analyze", s3, "--rank-cap", " 6 "), ("analyze", s3, "--rank-cap", "6"))):
+        expected = run(capsys, *plain)
+        assert expected[0] == 0
+        assert run(capsys, *spaced) == expected
 
 
 def test_verify_repeated_prime_is_input_error(capsys, fixtures_dir):

@@ -39,7 +39,6 @@ from hypergroups import (
     star_set,
     subnormal_closed_subsets,
     thin_elements,
-    valency,
     valency_of,
     verify_hall,
 )

@@ -1,10 +1,10 @@
-"""Every name a package module imports is used in that module, and every
-top-level definition and class member of a package module is used
+"""Every name a package or test module imports is used in that module,
+and every top-level definition and class member of a package module is used
 somewhere, by the package itself or the benchmark and not only by the tests.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules, over
 every module of src/hypergroups except the package __init__, whose imports
-are its exports.
+are its exports, and, for imports, every module of tests/.
 """
 
 import ast
@@ -17,6 +17,7 @@ import pytest
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "hypergroups"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree):
@@ -33,7 +34,7 @@ def _used(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*MODULES, *TEST_MODULES], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)

@@ -1,7 +1,6 @@
 import pytest
 
 from hypergroups import (
-    InternalConsistencyError,
     PreconditionError,
     closed_subsets,
     closure,

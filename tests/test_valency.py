@@ -15,7 +15,6 @@ from hypergroups import (
     is_residually_thin,
     load_any,
     mask_of,
-    members,
     quotient,
     rt_chain,
     section_quotient,
