@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from operator import itemgetter, or_
 from typing import NamedTuple
@@ -395,14 +395,28 @@ def _join(H: FiniteHypergroup, F: int, S: int) -> int:
     contains S, every closed subset containing S contains W, W W lies in W
     by H1, and W* = W as (pq)* = q*p*, from H3 (r in pq gives p in rq*,
     then q* in r*p, then r* in q*p*). Each coset costs |F| column reads
-    and each representative one table read per generator. Stops early once
-    the full set is reached, which is always closed.
+    and each representative one table read per generator.
+
+    Stops early, by Lagrange's theorem, once the cosets reached hold more
+    members than any closed subset other than H that contains F (the bound
+    of _lagrange_bounds for |F|): the join is then H, which is always
+    closed. When H is thin it is a group: every entry is a singleton, H1
+    is associativity, 0 the identity and h* the inverse of h, as h* h =
+    {0}. A closed subset is then a subgroup, so the join W contains the
+    subgroup F, and |W| = [W : F] |F| with [W : F] dividing [H : F] = m,
+    as [H : F] = [H : W] [W : F]. If W is not H, [W : F] is a divisor of m
+    below m, so at most m/p for the least prime p of m, and |W| is at most
+    m |F| / p = n/p for n = |H|. Every member reached lies in W, so once
+    more than n/p are reached, W = H. Otherwise the bound is n - 1: the
+    join stops at the full set, and no earlier.
     """
     full = H.full
     t = H.table
     gens = tuple(bits((S | star_set(H, S)) & ~1))
     base = F != 1 and members(F & ~1)  # 0 y = {y}, by UNIT
     cols = base and cached(H, "cols", lambda: tuple(zip(*t)))
+    bound = cached(H, "join_bounds", lambda: _lagrange_bounds(
+        H.rank, thin_elements(H) == full))[F.bit_count()]
     mask = F
     reps = [0]
     for r in reps:
@@ -413,11 +427,20 @@ def _join(H: FiniteHypergroup, F: int, S: int) -> int:
                 low = add & -add
                 y = low.bit_length() - 1
                 mask |= reduce(or_, map(cols[y].__getitem__, base), low) if base else low
-                if mask == full:
+                if mask.bit_count() > bound:
                     return full
                 reps.append(y)
                 add &= ~mask
     return mask
+
+
+@lru_cache(maxsize=None)
+def _lagrange_bounds(n: int, thin: bool) -> tuple[int, ...]:
+    """|F| -> the bound of _join for H of rank n: n/p for the least prime
+    p of n/|F| when H is thin and |F| a proper divisor of n, else n - 1."""
+    return tuple(n // next(p for p in range(2, n + 1) if n // k % p == 0)
+                 if thin and 0 < k < n and n % k == 0 else n - 1
+                 for k in range(n + 1))
 
 
 def is_closed(H: FiniteHypergroup, S) -> bool:

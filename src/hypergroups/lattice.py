@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 from .bitset import bits, members, subset_key
 from .core import (
@@ -75,17 +73,19 @@ def conjugations(H: FiniteHypergroup) -> dict[int, tuple[int, ...]]:
 
     Only the maps of a greedy generating set of the thin elements are read
     from the table: the least thin element not yet reached joins it. For
-    such a g, g* x must be a singleton for every x. Every other map is
-    composed: each time a generator joins, the thin elements reached so
-    far are walked breadth first, each multiplied on the left by every
-    generator. For thin h and k, kh is a thin singleton: (kh)*(kh) =
-    h*k*kh = h*{0}h = {0}, by (pq)* = q*p* and H1, and then kh is a
-    singleton as the proof in closed_subsets says. And phi_kh(x) = h*k* x
-    kh = phi_h(phi_k(x)), so phi_kh is phi_h read at phi_k's images. A
+    such a g, g* x must be a singleton for every x, and the map must take
+    the n elements to n distinct ones (perm[g]): so it is a permutation.
+    Every other map is composed: each time a generator joins, the thin
+    elements reached so far are walked breadth first, each multiplied on
+    the left by every generator. For thin h and k, kh is a thin singleton:
+    (kh)*(kh) = h*k*kh = h*{0}h = {0}, by (pq)* = q*p* and H1, and then kh
+    is a singleton as the proof in closed_subsets says. And phi_kh(x) = h*k*
+    x kh = phi_h(phi_k(x)), so phi_kh is phi_h read at phi_k's images. A
     product kh that is not a singleton raises InternalConsistencyError.
-    Every map returned is checked: its n masks, nonempty, must be pairwise
-    disjoint (their sum is their union) with union the full set, so each
-    is a singleton and they permute the elements.
+    Every map returned is a permutation, by induction on the order in which
+    maps are made: phi_0 is the identity, a generator's map is checked, and
+    a composed map is phi_h, made before it, read at the images of a
+    generator's map perm[k], a composition of two permutations.
     """
     n = H.rank
     t = H.table
@@ -101,6 +101,8 @@ def conjugations(H: FiniteHypergroup) -> dict[int, tuple[int, ...]]:
             conj[g] = tuple(map(cols[g].__getitem__,
                                 map(index.__getitem__, t[H.star[g]])))
             perm[g] = tuple(map(index.__getitem__, conj[g]))
+            if len(set(perm[g])) < n:
+                break
             reached = list(conj)
             for h in reached:
                 for k in perm:
@@ -108,12 +110,11 @@ def conjugations(H: FiniteHypergroup) -> dict[int, tuple[int, ...]]:
                     if kh not in conj:
                         conj[kh] = tuple(map(conj[h].__getitem__, perm[k]))
                         reached.append(kh)
+        else:
+            if len(conj) == thin.bit_count():
+                return {h: conj[h] for h in bits(thin)}
     except KeyError:  # some g* x or some kh is not a singleton
         pass
-    else:
-        if (len(conj) == thin.bit_count()
-                and all(sum(a) == reduce(or_, a) == H.full for a in conj.values())):
-            return {h: conj[h] for h in bits(thin)}
     raise InternalConsistencyError(
         "conjugation by a thin element is not a permutation")
 
@@ -125,13 +126,6 @@ def _image(auto: tuple[int, ...], elems) -> int:
     return sum(map(auto.__getitem__, elems))
 
 
-def _fixes(auto: tuple[int, ...], gens, mask: int) -> bool:
-    """Whether auto maps the closed subset mask, generated by the elements
-    gens, onto itself: the image is the closure of the image of gens and
-    has as many members, so it is mask iff that image lies in mask."""
-    return all(mask & auto[x] for x in gens)
-
-
 def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
     """The lattice of closed_subsets, by orbits, and its two relations.
 
@@ -139,13 +133,18 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
     cyclic closure c per orbit of its stabilizer {phi : phi(F) = F} among
     the thin conjugations. If phi(F) = F, then closure(F u phi(c)) =
     phi(closure(F u c)), which lies in the orbit that closure(F u c) does,
-    so the other members of c's orbit reach no new orbit. The stabilizer
-    is read off F's generating mask (_fixes), in the pass that images F
-    under the other automorphisms, and phi(c) is the cyclic closure of
-    phi(x) for c's representative x. See A. Hulpke, Computing subgroups
-    invariant under a set of automorphisms, J. Symb. Comput. 27, 1999.
-    The extension is _join from the larger of F and c, as F's generating
-    mask with x generates both.
+    so the other members of c's orbit reach no new orbit. See A. Hulpke,
+    Computing subgroups invariant under a set of automorphisms, J. Symb.
+    Comput. 27, 1999. The extension is _join from the larger of F and c,
+    as F's generating mask with x generates both.
+
+    Orbits from one transposed table: images[x] holds phi(x) for every
+    distinct automorphism phi, in one order, so the images of F under all
+    of them are the entrywise unions (sums, the bits being distinct) of
+    the rows images[x], x in F, one row per member. They are F's orbit,
+    and the stabilizer is the phi whose image is F itself. The phi(c) are
+    read the same way, from the cyclic closure of x: its image is the
+    cyclic closure of phi(x).
 
     Normality from two masks per representative E: N(E) holds the h with
     E h inside h E, S(E) the h with h* E h inside E, and E is normal
@@ -162,32 +161,36 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
         raise RankCapError(
             f"rank {H.rank} exceeds the lattice cap {H.rank_cap}; "
             "raise the cap explicitly to proceed")
-    # The distinct automorphisms, each with the mask of the thin h that
-    # induce it, the identity (h = 0) first.
+    # The distinct automorphisms, the identity (h = 0) first, each with the
+    # mask of the thin h that induce it; images[x][j] = autos[j][x].
     induced: dict[tuple[int, ...], int] = {}
     for h, a in conjugations(H).items():
         induced[a] = induced.get(a, 0) | 1 << h
-    autos = tuple(induced.items())
+    autos = tuple(induced)
+    inducers = tuple(induced.values())
+    images = tuple(zip(*autos))
     non_thin = members(H.full & ~thin_elements(H))
     rep_of: dict[int, tuple[int, tuple[int, ...]]] = {}
-    stabilizer: dict[int, list[tuple[int, ...]]] = {}
+    stabilizer: dict[int, list[int]] = {}  # representative -> fixers' j
     masks: dict[int, tuple[int, int]] = {}  # representative -> (N, S)
+
+    def images_of(m):
+        # m's image under each automorphism, in the order of autos.
+        return map(sum, zip(*map(images.__getitem__, bits(m))))
 
     def add_orbit(g):
         # Each member of g's orbit -> (g, an automorphism carrying g onto
-        # it), imaged only by the automorphisms that move g; those that fix
-        # g are kept as its stabilizer, and their h join both masks.
-        rep_of[g] = (g, autos[0][0])
-        g_gens = members(gens[g])
-        elems = members(g)
+        # it); the automorphisms that fix g are kept as its stabilizer,
+        # and their h join both masks.
         fixing = stabilizer[g] = []
         n_mask = 0
-        for a, hs in autos:
-            if _fixes(a, g_gens, g):
-                fixing.append(a)
-                n_mask |= hs
-            else:
-                rep_of.setdefault(_image(a, elems), (g, a))
+        for j, m in enumerate(images_of(g)):
+            if m == g:
+                fixing.append(j)
+                n_mask |= inducers[j]
+            elif m not in rep_of:
+                rep_of[m] = (g, autos[j])
+        rep_of[g] = (g, autos[0])
         s_mask = n_mask
         for h in non_thin:
             gh = complex_product(H, g, 1 << h)
@@ -206,9 +209,7 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
     cyclic_of: dict[int, int] = {}
     for x in range(H.rank):
         if 1 << x not in cyclic_of:
-            elems = members(closure(H, 1 << x))
-            for a, _ in autos:
-                cyclic_of[a[x]] = _image(a, elems)
+            cyclic_of.update(zip(images[x], images_of(closure(H, 1 << x))))
     cyclic: dict[int, int] = {}
     for x in range(1, H.rank):
         cyclic.setdefault(cyclic_of[1 << x], x)
@@ -221,7 +222,8 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
         for c, x in cyclic.items():
             if c in covered or not c & ~f:
                 continue
-            covered.update(cyclic_of[a[x]] for a in stabilizer[f])
+            covered.update(map(cyclic_of.__getitem__,
+                               map(images[x].__getitem__, stabilizer[f])))
             g_gens = gens[f] | 1 << x
             g = _join(H, max(f, c, key=int.bit_count), g_gens)
             if g not in rep_of:

@@ -289,6 +289,23 @@ def naive_closure(table, star, seed) -> frozenset[int]:
         t = grown
 
 
+def naive_products(table, star, seed) -> frozenset[int]:
+    """Every product of members of seed and their stars, from 0: each
+    element reached is multiplied on the right by every generator, one
+    element at a time, with no cosets and no early stop. This set is the
+    closure (core._join's docstring proves it); naive_closure is the pair
+    rule."""
+    gens = set(seed) | {star[s] for s in seed}
+    out = {0}
+    todo = [0]
+    for r in todo:
+        for s in gens:
+            for y in table[r][s] - out:
+                out.add(y)
+                todo.append(y)
+    return frozenset(out)
+
+
 def naive_closed_subsets(table, star) -> set[frozenset[int]]:
     n = len(table)
     out = set()

@@ -30,12 +30,14 @@ from hypergroups import (
 )
 from hypergroups import core
 from hypergroups import fixtures as fx
+from hypergroups.lattice import conjugations
 
 from oracles import (
     naive_associativity_witness,
     naive_axioms,
     naive_closed_subsets,
     naive_closure,
+    naive_products,
     sets_of,
 )
 
@@ -325,8 +327,8 @@ def test_join_matches_closure_and_pair_rule(corpus, group_quotients):
     # Joining a closed F, given only a generating mask of it, with each
     # element x, against closure(F u {x}) and the pair rule on python sets:
     # every closed F of the corpus, of the group quotients (non-thin, with
-    # cosets F y of unequal sizes) and of A5, each distinct table once; for
-    # x in F, both give F.
+    # cosets F y of unequal sizes, where the join may stop only at the full
+    # set) and of A5, each distinct table once; for x in F, both give F.
     a5 = fx.alt5().with_rank_cap(60)
     tables = {(h.table, h.star): h
               for h in [*corpus.values(), *group_quotients.values(), a5]}
@@ -340,6 +342,29 @@ def test_join_matches_closure_and_pair_rule(corpus, group_quotients):
                 assert got == closure(h, f | 1 << x)
                 if not f >> x & 1:
                     assert got == mask_of(naive_closure(table, star, members(f) + (x,)))
+    # On S4 and S5 a join stops once it holds more than n/p members, p the
+    # least prime of [H : F]. Every orbit representative F under thin
+    # conjugation (11 and 19), with every x, against all products of F's
+    # generators and x, which calls no join; and against the pair rule on
+    # all of S4 and on a sample of S5, where it would take seconds.
+    rng = random.Random(2409_07778)
+    for h, reps in ((fx.sym4(), 11), (fx.sym5().with_rank_cap(120), 19)):
+        table, star = sets_of(h)
+        maps = set(conjugations(h).values())
+        gens_of, seen = {}, set()
+        for f in closed_subsets(h).subsets:
+            if f not in seen:
+                seen.update(sum(a[i] for i in members(f)) for a in maps)
+                gens_of[f] = _generating_mask(h, f)
+        assert len(gens_of) == reps
+        pairs = [(f, x) for f in gens_of for x in range(h.rank)]
+        for f, x in pairs:
+            got = core._join(h, f, gens_of[f] | 1 << x)
+            assert got == mask_of(naive_products(
+                table, star, members(gens_of[f]) + (x,)))
+        for f, x in pairs if h.rank == 24 else rng.sample(pairs, 40):
+            assert (core._join(h, f, gens_of[f] | 1 << x)
+                    == mask_of(naive_closure(table, star, members(f) + (x,))))
 
 
 def _mutated_tables(rng, h, count):

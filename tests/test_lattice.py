@@ -15,6 +15,7 @@ from hypergroups import (
 )
 from hypergroups import fixtures as fx
 from hypergroups import lattice
+from hypergroups.core import cached
 from hypergroups.lattice import conjugations
 
 from oracles import (
@@ -102,6 +103,24 @@ def test_s5_enumeration_extends_once_per_stabilizer_orbit(monkeypatch):
     assert closures == 7
 
 
+def test_s5_joins_stop_by_lagrange():
+    # A join in a group stops once it holds more than n/p members, p the
+    # least prime of [H : F]: S5's lattice adds 1 236 cosets, where joins
+    # that ran until the full set added 2 061. Each coset F y is one read
+    # of column y; conjugations reads one column per generator besides.
+    class CountingColumns(tuple):
+        reads = 0
+
+        def __getitem__(self, y):
+            CountingColumns.reads += 1
+            return tuple.__getitem__(self, y)
+
+    s5 = fx.sym5().with_rank_cap(120)
+    cached(s5, "cols", lambda: CountingColumns(zip(*s5.table)))
+    assert len(closed_subsets(s5).subsets) == 156
+    assert CountingColumns.reads < 1400
+
+
 def test_s5_relations_come_from_the_stabilizer_pass(monkeypatch):
     # Every element of S5 is thin, so both normalizer masks of each
     # representative are the thin h whose conjugation fixes it, read off
@@ -171,6 +190,20 @@ def test_conjugations_refuse_a_product_of_thin_elements_not_a_singleton():
     rows = [list(row) for row in c4.table]
     rows[1][2] = 0b1001
     c4.table = tuple(map(tuple, rows))
+    with pytest.raises(InternalConsistencyError):
+        conjugations(c4)
+
+
+def test_conjugations_refuse_a_generator_map_that_is_not_injective():
+    # C4 with the product 2 . 1 broken to {0} past validation: every
+    # element stays thin and every product a singleton, but the map of the
+    # generator 1 sends both 0 and 3 to 0. It is checked when it is read
+    # off the table, so no composed map is built from it.
+    c4 = fx.cyclic(4).with_rank_cap(4)
+    rows = [list(row) for row in c4.table]
+    rows[2][1] = 0b1
+    c4.table = tuple(map(tuple, rows))
+    assert thin_elements(c4) == c4.full
     with pytest.raises(InternalConsistencyError):
         conjugations(c4)
 
