@@ -8,7 +8,6 @@ partition arithmetic, and Hall Pi-subset search and verification.
 
 from .bitset import bits, full_mask, mask_of, members, subset_key
 from .core import (
-    Chain,
     DEFAULT_RANK_CAP,
     FiniteHypergroup,
     ValidationReport,
@@ -82,6 +81,7 @@ from .sigma import (
 from .valency import (
     is_residually_thin,
     rt_chain,
+    step_orders,
     valency,
     valency_of,
 )

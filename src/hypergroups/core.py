@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import chain
-from operator import itemgetter, or_
+from operator import index, itemgetter, or_
 from typing import NamedTuple
 
 from .bitset import bits, full_mask, mask_of, members
@@ -53,14 +53,23 @@ class ValidationReport:
     star: tuple[int, ...] = field(compare=False, repr=False)
 
 
+def _index_mask(indices, rank: int) -> int:
+    """Mask of a collection of indices, each read through operator.index (a
+    TypeError if it is not an integer). An index outside 0..rank-1 sets bit
+    rank instead, so no shift passes rank and the caller's range check
+    refuses the mask."""
+    m = 0
+    for x in indices:
+        i = index(x)
+        m |= 1 << (i if 0 <= i < rank else rank)
+    return m
+
+
 def _entry_mask(entry, rank: int, p: int, q: int) -> int:
-    if isinstance(entry, int):
-        m = entry
-    else:
-        try:
-            m = mask_of(int(x) for x in entry)
-        except (TypeError, ValueError) as exc:
-            raise StructuralError(f"product entry ({p},{q}) is not a set of indices") from exc
+    try:
+        m = entry if isinstance(entry, int) else _index_mask(entry, rank)
+    except TypeError as exc:
+        raise StructuralError(f"product entry ({p},{q}) is not a set of indices") from exc
     if m < 0 or m >> rank:
         raise StructuralError(f"product entry ({p},{q}) has an element outside 0..{rank - 1}")
     if m == 0:
@@ -369,9 +378,9 @@ def closure(H: FiniteHypergroup, S) -> int:
     Computed as _join({0}, S): the set of all products of generators.
     """
     try:
-        seed = H.subset(S if isinstance(S, int) else mask_of(S))
-    except ValueError:  # a negative index, whose shift mask_of refuses
-        raise PreconditionError(f"subset out of range for rank {H.rank}") from None
+        seed = H.subset(S if isinstance(S, int) else _index_mask(S, H.rank))
+    except TypeError as exc:
+        raise PreconditionError("subset is not a set of indices") from exc
     return _join(H, 1, seed)
 
 
@@ -510,22 +519,3 @@ def double_cosets_in(H: FiniteHypergroup, lo: int, hi: int) -> tuple[int, ...]:
         return tuple(blocks)
 
     return cached(H, ("double_cosets", lo, hi), compute)
-
-
-@dataclass(frozen=True)
-class Chain:
-    """An ascending chain of closed subsets of base, with its step data.
-
-    step_orders[i] is the number of double cosets of subsets[i] inside
-    subsets[i+1], counted in base's own coordinates. A chain witnessing
-    residual thinness starts at the identity subset and has every step
-    quotient thin.
-    """
-
-    base: FiniteHypergroup
-    subsets: tuple[int, ...]
-
-    @cached_property
-    def step_orders(self) -> tuple[int, ...]:
-        return tuple(len(double_cosets_in(self.base, lo, hi))
-                     for lo, hi in zip(self.subsets, self.subsets[1:]))

@@ -303,7 +303,7 @@ def scheme_to_hypergroup(text: str) -> FiniteHypergroup:
                              rows[i][0])
     used = {v for row in mat for v in row}
     r = max(used) + 1
-    if used != set(range(r)):
+    if min(used) < 0 or len(used) != r:
         raise ParseError(
             f"relation indices must be exactly 0..{r - 1}, got {sorted(used)}",
             rows[0][0])

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .bitset import bits, mask_of, subset_key
 from .core import (
-    Chain,
     FiniteHypergroup,
     cached,
     complex_product,
@@ -43,7 +42,6 @@ from .sigma import (
 )
 from .valency import (
     rt_chain,
-    thin_chain,
     thin_sweeps,
     valency,
     valency_of,
@@ -51,13 +49,14 @@ from .valency import (
 
 
 def sigma_solvable_chain(H: FiniteHypergroup,
-                         sigma: PrimePartition) -> Chain | None:
-    """A chain witnessing sigma-solvability, or None after exhaustive search.
+                         sigma: PrimePartition) -> tuple[int, ...] | None:
+    """The forward sweep's chain ({0}, ..., full set) of masks witnessing
+    sigma-solvability, or None when no such chain exists.
 
     Each step quotient must be thin and each step order must have all its
     prime divisors in one class; different steps may use different classes.
     """
-    return thin_chain(H, H.full, sigma)
+    return thin_sweeps(H, sigma)[0].get(H.full)
 
 
 def is_sigma_solvable(H: FiniteHypergroup, sigma: PrimePartition) -> bool:
@@ -70,7 +69,7 @@ def is_solvable(H: FiniteHypergroup) -> bool:
     This is the strictest chain notion used here; with the smallest
     partition it characterises the residually thin sigma-solvable case.
     """
-    return thin_chain(H, H.full, is_prime) is not None
+    return H.full in thin_sweeps(H, is_prime)[0]
 
 
 def subnormal_closed_subsets(H: FiniteHypergroup) -> tuple[int, ...]:

@@ -60,7 +60,7 @@ def quotient(H: FiniteHypergroup, F) -> QuotientMap:
     in G. The blocks D' h' D' lift to the sets D h D, so both steps have
     the same order. Hence H//F has a thin chain from its identity whose
     step orders pass a rule iff H has one from F, with the same orders:
-    valency.thin_chain with bottom F. The block h' is thin iff h'* h' is
+    valency.thin_sweeps' down map at F. The block h' is thin iff h'* h' is
     the identity block, iff its lift F h* F h F is F; h'* h' is the set of
     blocks that F h* F h F meets. H//F is thin iff F is strongly normal in
     H: the case D = F, G = H above, as {F} is strongly normal in H//F iff

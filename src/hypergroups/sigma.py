@@ -11,6 +11,7 @@ when none does.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import count
 from math import gcd
@@ -199,8 +200,9 @@ def parse_selection(text: str, sigma: PrimePartition) -> PiSelection:
 
     Accepted forms: "all" (or "all-classes"); zero-based explicit class
     indices "0,2"; literal classes "{2},{5}", each of which must be exactly
-    a class of the partition (explicit or implicit singleton). The empty
-    string selects nothing.
+    a class of the partition (explicit or implicit singleton), separated
+    by "," or "|" with spaces allowed on either side. The empty string
+    selects nothing.
     """
     text = text.strip()
     if text in ("all", "all-classes"):
@@ -208,7 +210,7 @@ def parse_selection(text: str, sigma: PrimePartition) -> PiSelection:
     if not text:
         return PiSelection()
     if text.startswith("{"):
-        chunks = [c.strip() for c in text.replace("},", "}|").split("|")]
+        chunks = [c.strip() for c in re.sub(r"}\s*,", "}|", text).split("|")]
         picked = set()
         for chunk in chunks:
             if not (chunk.startswith("{") and chunk.endswith("}")):

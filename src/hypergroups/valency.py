@@ -9,7 +9,6 @@ from __future__ import annotations
 from math import prod
 
 from .core import (
-    Chain,
     FiniteHypergroup,
     cached,
     double_cosets_in,
@@ -21,7 +20,7 @@ from .errors import (
     PreconditionError,
     ValencyUndefinedError,
 )
-from .lattice import closed_subsets, positions, sweeps
+from .lattice import closed_subsets, sweeps
 from .sigma import is_prime, spans_single_class
 
 
@@ -39,29 +38,19 @@ def thin_sweeps(H: FiniteHypergroup, rule=None) -> tuple[dict, dict]:
         H, closed_subsets(H).strongly_normal_in, step_ok))
 
 
-def thin_chain(H: FiniteHypergroup, top: int, rule=None,
-               bottom: int = 1) -> Chain | None:
-    """Chain bottom = C0 < ... < Ck = top of thin steps under rule (see
-    thin_sweeps), or None. Both ends must be closed, bottom {0} or top the
-    full set; from a closed E it is a chain of H//E (see quotient)."""
-    up, down = thin_sweeps(H, rule)
-    closed = positions(H)
-    if H.subset(top) not in closed or H.subset(bottom) not in closed:
-        raise PreconditionError("thin_chain requires closed ends")
-    if bottom != 1 and top != H.full:
-        raise PreconditionError(
-            "thin_chain needs the identity subset as bottom or the full set as top")
-    path = up.get(top) if bottom == 1 else down.get(bottom)
-    return Chain(H, path) if path else None
+def step_orders(H: FiniteHypergroup, path) -> tuple[int, ...]:
+    """The number of double cosets of lo in hi for each step lo < hi of
+    path, an ascending chain of closed subsets: the orders of its step
+    quotients, whose product is a valency along a thin chain from {0}."""
+    return tuple(len(double_cosets_in(H, lo, hi)) for lo, hi in zip(path, path[1:]))
 
 
-def rt_chain(H: FiniteHypergroup) -> Chain | None:
-    """A chain from {0} to the full set with every step quotient thin.
-
-    Present iff the hypergroup is residually thin; None when the forward
-    sweep of the closed-subset lattice does not reach the full set.
+def rt_chain(H: FiniteHypergroup) -> tuple[int, ...] | None:
+    """The forward sweep's chain ({0}, ..., full set) of masks, each step
+    strongly normal with a thin step quotient; present iff the hypergroup
+    is residually thin, None otherwise.
     """
-    return thin_chain(H, H.full)
+    return thin_sweeps(H)[0].get(H.full)
 
 
 def is_residually_thin(H: FiniteHypergroup) -> bool:
@@ -78,7 +67,7 @@ def valency(H: FiniteHypergroup) -> int:
     if chain is None:
         raise ValencyUndefinedError(
             f"{H.name} is not residually thin, valency undefined")
-    return prod(chain.step_orders)
+    return prod(step_orders(H, chain))
 
 
 def valency_of(H: FiniteHypergroup, C) -> int:
@@ -103,7 +92,7 @@ def valency_of(H: FiniteHypergroup, C) -> int:
     if path is None:
         raise InternalConsistencyError(
             "closed subset of a residually thin hypergroup must be residually thin")
-    n = prod(len(double_cosets_in(H, lo, hi)) for lo, hi in zip(path, path[1:]))
+    n = prod(step_orders(H, path))
     if ambient % n:
         raise InternalConsistencyError("subset valency does not divide the ambient one")
     return n

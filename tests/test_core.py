@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -114,6 +115,39 @@ def test_structural_errors_are_not_axiom_violations():
         validate([], [])
     with pytest.raises(StructuralError, match="row 0 must have 2 entries"):
         validate([[{0}], [{1}, {0}]], IDENT_STAR)
+
+
+_FAR = 8 * 10**7  # the bit of this index alone is a 10 MB int
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s3: closure(s3, [_FAR]), PreconditionError,
+     r"^subset out of range for rank 6$"),
+    (lambda s3: closure(s3, [0.5]), PreconditionError,
+     r"^subset is not a set of indices$"),
+    (lambda s3: closure(s3, ["1"]), PreconditionError,
+     r"^subset is not a set of indices$"),
+    (lambda s3: validate([[{_FAR}]], [0]), StructuralError,
+     r"^product entry \(0,0\) has an element outside 0\.\.0$"),
+    (lambda s3: validate([[{0.5}]], [0]), StructuralError,
+     r"^product entry \(0,0\) is not a set of indices$"),
+    (lambda s3: validate([[{"0"}]], [0]), StructuralError,
+     r"^product entry \(0,0\) is not a set of indices$"),
+], ids=["closure far", "closure float", "closure str",
+        "validate far", "validate float", "validate str"])
+def test_index_collections_are_checked_before_any_shift(call, error, message, corpus):
+    # closure's generators and validate's set entries are read as integers
+    # (operator.index: no float is truncated) and range-checked before
+    # their bits are made, so a far index costs no memory.
+    s3 = corpus["s3"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=message):
+            call(s3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_star_violation_reported():

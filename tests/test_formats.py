@@ -169,6 +169,22 @@ def test_declared_rank_sizes_no_memory():
     assert peak < 5 * 2**20
 
 
+def test_large_relation_index_sizes_no_memory():
+    # A scheme naming relation 10**6: the reader's check of the relation
+    # indices holds what the matrix holds, not a set up to the largest.
+    text = "scheme s\npoints 2\n0 1000000\n1 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            scheme_to_hypergroup(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == \
+        "relation indices must be exactly 0..1000000, got [0, 1, 1000000] (line 3)"
+    assert peak < 5 * 2**20
+
+
 def test_line_numbers_count_only_line_breaks():
     # The same bad document under each line break, with the separators
     # that str.splitlines also breaks at placed inside lines.

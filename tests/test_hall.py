@@ -1,13 +1,14 @@
 import importlib
 import sys
 from collections import Counter
+from itertools import combinations
 from math import prod
 
 import pytest
 
 from hypergroups import (
-    Chain,
     FiniteHypergroup,
+    PiSelection,
     HypergroupError,
     HypothesisViolationError,
     SMALLEST,
@@ -31,20 +32,25 @@ from hypergroups import (
     parse_selection,
     pi_radical,
     pi_valenced_violation,
+    prime_factors,
     quotient,
+    rt_chain,
     section_quotient,
     sigma_solvable_chain,
     solvability_suite,
     spans_single_class,
     star_set,
+    step_orders,
     subnormal_closed_subsets,
     thin_elements,
+    valency,
     valency_of,
     verify_hall,
 )
 from hypergroups import fixtures as fx
 from hypergroups import core, hall, lattice
 from hypergroups.cli import main
+from hypergroups.valency import thin_sweeps
 
 from instance_checks import is_thin
 from oracles import (
@@ -72,10 +78,10 @@ def test_sigma_chain_s3_smallest(corpus):
     s3 = corpus["s3"]
     chain = sigma_solvable_chain(s3, SMALLEST)
     assert chain is not None
-    assert chain.subsets == (1, _a3(s3), s3.full)
-    assert chain.step_orders == (3, 2)
-    steps = zip(chain.subsets, chain.subsets[1:])
-    for (lo, hi), order in zip(steps, chain.step_orders):
+    assert chain == (1, _a3(s3), s3.full)
+    assert step_orders(s3, chain) == (3, 2)
+    steps = zip(chain, chain[1:])
+    for (lo, hi), order in zip(steps, step_orders(s3, chain)):
         q = section_quotient(s3, lo, hi).quotient
         assert is_thin(q) and q.rank == order
         assert spans_single_class(order, SMALLEST)
@@ -86,8 +92,8 @@ def test_sigma_chain_coarse_partition(corpus):
     sig = parse_partition("2,3")
     chain = sigma_solvable_chain(s3, sig)
     assert chain is not None
-    assert chain.subsets == (1, s3.full)
-    assert chain.step_orders == (6,)
+    assert chain == (1, s3.full)
+    assert step_orders(s3, chain) == (6,)
 
 
 def test_k2_never_sigma_solvable(corpus):
@@ -343,6 +349,63 @@ def test_no_thin_forcing_counterexamples(corpus):
                 assert is_thin(h), (h.name, text)
 
 
+def test_pi_valence_on_two_disjoint_sides_forces_thinness(corpus, group_quotients):
+    """Let H be residually thin and not thin. Then some h has h*h made of
+    thin elements with |h*h| >= 2. So H is Pi-valenced only for selections
+    Pi whose classes hold every prime of every such |h*h|.
+
+    The proof reads "Pi-valenced" as pi_valenced_violation does, since
+    PAPER.md holds only the abstract.
+
+    1. Take a thin chain {0} = C0 < ... < Ck = H. Let j be least with C_j
+       not thin, so C_(j-1) is a closed subset of thin elements.
+    2. C_(j-1) is strongly normal in C_j, so C_j//C_(j-1) is thin. Then for
+       every h in C_j, the lift C h* C h C of that block's h'* h' is C =
+       C_(j-1) (quotient's docstring). So h*h lies in C_(j-1) and consists
+       of thin elements.
+    3. Some h in C_j is not thin, so h*h != {0}, and |h*h| >= 2.
+    4. U = {0} is closed and subnormal, with valency 1, a Pi-number for
+       every Pi. Its blocks are the elements. So pi_valenced_violation
+       asks that |h*h| be a Pi-number.
+
+    So no such H is Pi-valenced for two disjoint selections of one
+    partition: a prime of |h*h| lies in one class, which at most one of
+    them holds. Checked on rt_chain's path, under three partitions, over
+    every disjoint pair of nonempty selections of the valency's classes.
+    No code relies on the lemma.
+    """
+    inputs = [*corpus.values(), *group_quotients.values(),
+              fx.alt5().with_rank_cap(60), _f21()]
+    partitions = (SMALLEST, parse_partition("2|3,5"), parse_partition("2,3|5"))
+    non_thin = pairs = 0
+    for h in inputs:
+        chain = rt_chain(h)
+        thin = thin_elements(h)
+        if chain is None or thin == h.full:
+            continue
+        non_thin += 1
+        j = next(j for j, c in enumerate(chain) if c & ~thin)
+        below = chain[j - 1]
+        assert not below & ~thin, h.name
+        for x in members(chain[j] & ~thin):
+            xx = complex_product(h, 1 << h.star[x], 1 << x)
+            assert not xx & ~below and xx.bit_count() >= 2, (h.name, x)
+        primes = prime_factors(valency(h))
+        for sigma in partitions:
+            classes = sorted({sigma.class_of(p) for p in primes}, key=min)
+            selections = [frozenset(picked) for r in range(1, len(classes) + 1)
+                          for picked in combinations(classes, r)]
+            for a, b in combinations(selections, 2):
+                if a & b:
+                    continue
+                pairs += 1
+                assert not (is_pi_valenced(h, sigma, PiSelection(a))
+                            and is_pi_valenced(h, sigma, PiSelection(b))), \
+                    (h.name, str(sigma), a, b)
+    # 11 residually thin inputs that are not thin, 12 disjoint pairs.
+    assert (non_thin, pairs) == (11, 12)
+
+
 def test_two_class_partition_matches_smallest_on_radicals(corpus):
     # A partition into {2} and everything-else behaves like the smallest
     # partition with the {2} class selected, on every fixture valency.
@@ -410,12 +473,12 @@ def test_quotient_chains_are_read_from_the_modulus(corpus, groups):
         for e in closed_subsets(h).subsets:
             q = quotient(h, e).quotient
             for rule in rules:
-                here = hall.thin_chain(h, h.full, rule, e)
-                there = hall.thin_chain(q, q.full, rule)
+                here = thin_sweeps(h, rule)[1].get(e)
+                there = thin_sweeps(q, rule)[0].get(q.full)
                 assert (here is None) == (there is None), (h.name, e, rule)
                 if here is not None:
-                    assert prod(here.step_orders) == prod(there.step_orders), \
-                        (h.name, e, rule)
+                    assert prod(step_orders(h, here)) == \
+                        prod(step_orders(q, there)), (h.name, e, rule)
 
 
 def _passes(rule, n):
@@ -433,21 +496,21 @@ def test_sweeps_match_the_oracle_climb(corpus, groups):
         for rule in rules:
             step_ok = None if rule is None else (
                 lambda lo, hi, rule=rule:
-                _passes(rule, Chain(h, (lo, hi)).step_orders[0]))
+                _passes(rule, step_orders(h, (lo, hi))[0]))
+            up, down = thin_sweeps(h, rule)
             for c in lat.subsets:
                 for bottom, top in ((1, c), (c, h.full)):
-                    got = hall.thin_chain(h, top, rule, bottom)
+                    got = up.get(top) if bottom == 1 else down.get(bottom)
                     want = next(climb(h, strong, bottom, top, step_ok), None)
                     assert (got is None) == (want is None), \
                         (h.name, bottom, top, rule)
                     if got is None:
                         continue
-                    path = got.subsets
-                    assert (path[0], path[-1]) == (bottom, top)
+                    assert (got[0], got[-1]) == (bottom, top)
                     assert all((lo, hi) in strong and lo != hi
-                               for lo, hi in zip(path, path[1:]))
+                               for lo, hi in zip(got, got[1:]))
                     assert rule is None or all(
-                        _passes(rule, n) for n in got.step_orders)
+                        _passes(rule, n) for n in step_orders(h, got))
         assert set(subnormal_closed_subsets(h)) == {
             u for u in lat.subsets
             if next(climb(h, lat.normal_in, u, h.full), None)}, h.name

@@ -123,6 +123,56 @@ def test_every_definition_is_read_by_the_package_or_the_benchmark():
     assert not dead, f"definitions only tests read: {', '.join(dead)}"
 
 
+def _defaulted(fn, method):
+    """(name, position) of each parameter of fn that has a default; the
+    position counts the arguments a caller writes, None for keyword-only."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    out = [(arg.arg, i - method) for i, arg in enumerate(positional) if i >= first]
+    out += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _passes(call, name, position):
+    """A call passes the parameter by keyword, by position, or through a
+    starred argument that may hold it."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def test_every_default_is_overridden_somewhere():
+    # A defaulted parameter that no call in the package or the benchmark
+    # passes is a branch the pipeline never takes. A call is matched by
+    # the callee's name (x.f(...) calls every f), and a constructor by its
+    # class name.
+    calls = {}
+    for path in [*MODULES, PACKAGE / "__init__.py", *ROOT.glob("bench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owners.get(id(fn))
+            method = cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            callee = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            for name, position in _defaulted(fn, method):
+                if not any(_passes(c, name, position) for c in calls.get(callee, ())):
+                    unpassed.append(f"{path.name}:{fn.lineno} {fn.name}({name}=)")
+    assert not unpassed, f"defaults no call overrides: {', '.join(unpassed)}"
+
+
 def test_only_core_names_the_store():
     # Every derived fact of a hypergroup is kept through core.cached, the
     # one function that reads and writes the instance's store.

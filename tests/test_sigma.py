@@ -116,6 +116,16 @@ def test_selection_parsing():
     assert parse_selection("{11}", sig).selected == frozenset({frozenset({11})})
 
 
+@pytest.mark.parametrize("text", [
+    "{2},{5}", "{2}, {5}", "{2} ,{5}", "{2} , {5}", "{2}  ,\t{5}",
+    "{2}|{5}", "{2} | {5}"])
+def test_class_literals_take_spaces_around_the_separator(text):
+    # As partitions do ("2 , 3|5"): the separator between two literals may
+    # have spaces on either side.
+    assert parse_selection(text, SMALLEST).selected == \
+        frozenset({frozenset({2}), frozenset({5})})
+
+
 def test_prime_repeated_inside_one_class_is_refused():
     # The class is a set, which would drop the repeat silently.
     with pytest.raises(PartitionSyntaxError, match="prime 2 repeated in '2,2'"):

@@ -4,7 +4,6 @@ from math import prod
 import pytest
 
 from hypergroups import (
-    Chain,
     PreconditionError,
     RankCapError,
     ValencyUndefinedError,
@@ -18,6 +17,7 @@ from hypergroups import (
     quotient,
     rt_chain,
     section_quotient,
+    step_orders,
     sub_hypergroup,
     subnormal_closed_subsets,
     thin_elements,
@@ -25,7 +25,6 @@ from hypergroups import (
     valency_of,
 )
 from hypergroups import fixtures as fx
-from hypergroups.valency import thin_chain
 
 from instance_checks import is_thin
 from oracles import chain_products, climb, naive_rt_chains, sets_of
@@ -34,7 +33,7 @@ from oracles import chain_products, climb, naive_rt_chains, sets_of
 def _rt_chains(h, limit):
     """Up to limit residually thin chains, in the order climb yields them."""
     paths = climb(h, closed_subsets(h).strongly_normal_in, 1, h.full)
-    return [Chain(h, path) for path in islice(paths, limit)]
+    return list(islice(paths, limit))
 
 
 def test_thin_elements_examples(corpus):
@@ -53,12 +52,13 @@ def test_is_thin_examples(corpus):
 
 def test_rt_chain_thin_case(corpus):
     for name in ("c2", "s3", "d4", "q8", "a4", "s4"):
-        chain = rt_chain(corpus[name])
+        h = corpus[name]
+        chain = rt_chain(h)
         assert chain is not None
-        assert chain.subsets[0] == 1
-        assert chain.subsets[-1] == corpus[name].full
-        for lo, hi in zip(chain.subsets, chain.subsets[1:]):
-            assert is_thin(section_quotient(chain.base, lo, hi).quotient)
+        assert chain[0] == 1
+        assert chain[-1] == h.full
+        for lo, hi in zip(chain, chain[1:]):
+            assert is_thin(section_quotient(h, lo, hi).quotient)
 
 
 def test_k2_is_not_residually_thin(corpus):
@@ -104,34 +104,7 @@ def test_valency_of_examples(corpus):
         valency_of(s3, mask_of([0, rot]))
 
 
-def test_thin_chain_refuses_a_question_between_two_inner_ends(corpus):
-    # Chains run from the identity subset or to the full set; a question
-    # with neither end is refused rather than answered from either sweep.
-    s3 = corpus["s3"]
-    a3 = closure(s3, [next(s for s in range(1, 6)
-                           if fx.element_order(s3, s) == 3)])
-    assert thin_chain(s3, a3).subsets == (1, a3)
-    assert thin_chain(s3, s3.full, None, a3).subsets == (a3, s3.full)
-    with pytest.raises(PreconditionError, match="identity subset"):
-        thin_chain(s3, a3, None, a3)
-
-
-def test_thin_chain_refuses_an_end_that_is_not_closed(corpus):
-    # As valency_of does: an end out of range or not closed is a question
-    # about no member of the lattice, not a chain that does not exist.
-    s3 = corpus["s3"]
-    rot = next(s for s in range(1, 6) if fx.element_order(s3, s) == 3)
-    with pytest.raises(PreconditionError, match="out of range"):
-        thin_chain(fx.sym3(), 1 << 9)
-    with pytest.raises(PreconditionError, match="out of range"):
-        thin_chain(s3, s3.full, None, 1 << 9)
-    with pytest.raises(PreconditionError, match="closed ends"):
-        thin_chain(s3, mask_of([0, rot]))
-    with pytest.raises(PreconditionError, match="closed ends"):
-        thin_chain(s3, s3.full, None, mask_of([0, rot]))
-
-
-def test_valency_of_and_thin_chain_refusals_keep_their_precedence(fixtures_dir):
+def test_valency_of_refusals_keep_their_precedence(fixtures_dir):
     # A mask that is not closed is refused before the hypergroup is asked
     # for its valency or its lattice: k2 is not residually thin, and S4
     # under a rank cap of 3 refuses its lattice, yet a non-closed mask of
@@ -147,11 +120,6 @@ def test_valency_of_and_thin_chain_refusals_keep_their_precedence(fixtures_dir):
     for h, mask, error, message in cases:
         with pytest.raises(error, match=message):
             valency_of(h, mask)
-    with pytest.raises(RankCapError):
-        thin_chain(s4, 6)
-    for top, bottom in ((2, 1), (k2.full, 2)):
-        with pytest.raises(PreconditionError, match="requires closed ends"):
-            thin_chain(k2, top, None, bottom)
 
 
 def test_subset_valency_divides(corpus):
@@ -170,7 +138,7 @@ def test_all_rt_chains_counts_match_oracle(small_corpus):
         table, star = sets_of(h)
         oracle = {tuple(mask_of(s) for s in chain)
                   for chain in naive_rt_chains(table, star)}
-        got = {c.subsets for c in _rt_chains(h, limit=1000)}
+        got = set(_rt_chains(h, limit=1000))
         assert got == oracle, name
 
 
@@ -179,7 +147,7 @@ def test_all_rt_chains_start_with_rt_chain(corpus):
     # reads, is the first chain the oracle climb yields on the corpus.
     for name, h in corpus.items():
         if is_residually_thin(h):
-            assert _rt_chains(h, 1)[0].subsets == rt_chain(h).subsets, name
+            assert _rt_chains(h, 1)[0] == rt_chain(h), name
 
 
 def test_s3_chains_frozen():
@@ -190,9 +158,9 @@ def test_s3_chains_frozen():
     s3 = fx.sym3()
     chains = _rt_chains(s3, limit=100)
     assert len(chains) == 2
-    products = {prod(c.step_orders) for c in chains}
+    products = {prod(step_orders(s3, c)) for c in chains}
     assert products == {6}
-    lengths = sorted(len(c.step_orders) for c in chains)
+    lengths = sorted(len(step_orders(s3, c)) for c in chains)
     assert lengths == [1, 2]
 
 
