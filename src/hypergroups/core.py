@@ -81,7 +81,10 @@ def _normalize_candidate(table, star):
     rank = len(table)
     if rank < 1:
         raise StructuralError("rank must be at least 1")
-    star_t = tuple(int(s) for s in star)
+    try:
+        star_t = tuple(map(index, star))
+    except TypeError as exc:
+        raise StructuralError("star images must be integers") from exc
     if len(star_t) != rank:
         raise StructuralError(f"star must list {rank} images, got {len(star_t)}")
     if any(s < 0 or s >= rank for s in star_t):

@@ -25,13 +25,20 @@ from .core import (
     complex_product,
     double_cosets_in,
     star_set,
+    thin_elements,
 )
 from .errors import (
     HypothesisViolationError,
     InternalConsistencyError,
     SearchExhaustedError,
 )
-from .lattice import closed_subsets, positions, sweeps
+from .lattice import (
+    automorphisms,
+    closed_subsets,
+    orbit_images,
+    positions,
+    sweeps,
+)
 from .sigma import (
     PiSelection,
     PrimePartition,
@@ -233,10 +240,30 @@ def are_conjugate(H: FiniteHypergroup, S, T) -> int | None:
     paper's abstract, so which notion of conjugacy the paper proves is not
     recorded in this repository; this mutual-containment notion is the one
     the Hall report checks.
+
+    Thin h are tested all at once on the stored automorphisms. For thin h,
+    h* is thin and h x h* is the one element phi_h*(x) (see closed_subsets),
+    so h S h* = phi_h*(S), and h witnesses iff phi_h* carries S into T and
+    T into S. A permutation that does so carries S onto T and T onto S, as
+    |S| <= |T| <= |S|, and so does its inverse phi_h. So the thin witnesses
+    are the inducers of the automorphisms that carry S into T and T into S,
+    whose images are read off the transposed table, as lattice._enumerate
+    reads orbits. Only the non-thin h below the least of them are tested
+    by products, in index order. An empty S or T has no image to read: h S
+    h* is empty iff S is, so then 0 witnesses iff both are empty.
     """
     sm = H.subset(S)
     tm = H.subset(T)
-    for h in range(H.rank):
+    if not sm or not tm:
+        return 0 if sm == tm else None
+    _, inducers, images = automorphisms(H)
+    found = 0  # the thin witnesses
+    for inducing, s_j, t_j in zip(inducers, orbit_images(images, sm),
+                                  orbit_images(images, tm)):
+        if not s_j & ~tm and not t_j & ~sm:
+            found |= inducing
+    least = found & -found
+    for h in bits((least - 1 if found else H.full) & ~thin_elements(H)):
         hm = 1 << h
         hsm = 1 << H.star[h]
         if complex_product(H, hm, complex_product(H, sm, hsm)) & ~tm:
@@ -244,7 +271,7 @@ def are_conjugate(H: FiniteHypergroup, S, T) -> int | None:
         if complex_product(H, hm, complex_product(H, tm, hsm)) & ~sm:
             continue
         return h
-    return None
+    return least.bit_length() - 1 if found else None
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,27 @@ def conjugations(H: FiniteHypergroup) -> dict[int, tuple[int, ...]]:
         "conjugation by a thin element is not a permutation")
 
 
+def automorphisms(H: FiniteHypergroup):
+    """(autos, inducers, images), stored: the distinct maps of
+    conjugations(H), the identity (h = 0) first, each with the mask of the
+    thin h that induce it, and their transposed table, images[x][j] =
+    autos[j][x]."""
+    def compute():
+        induced: dict[tuple[int, ...], int] = {}
+        for h, a in conjugations(H).items():
+            induced[a] = induced.get(a, 0) | 1 << h
+        autos = tuple(induced)
+        return autos, tuple(induced.values()), tuple(zip(*autos))
+
+    return cached(H, "automorphisms", compute)
+
+
+def orbit_images(images, m: int):
+    """The image of the nonempty mask m under each automorphism, in the
+    order of images' rows, from the transposed table of automorphisms."""
+    return map(sum, zip(*map(images.__getitem__, bits(m))))
+
+
 def _image(auto: tuple[int, ...], elems) -> int:
     """Mask of the images of elems under auto, held as the single-bit
     mask of each element's image; the bits are distinct, so their sum is
@@ -161,22 +182,11 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
         raise RankCapError(
             f"rank {H.rank} exceeds the lattice cap {H.rank_cap}; "
             "raise the cap explicitly to proceed")
-    # The distinct automorphisms, the identity (h = 0) first, each with the
-    # mask of the thin h that induce it; images[x][j] = autos[j][x].
-    induced: dict[tuple[int, ...], int] = {}
-    for h, a in conjugations(H).items():
-        induced[a] = induced.get(a, 0) | 1 << h
-    autos = tuple(induced)
-    inducers = tuple(induced.values())
-    images = tuple(zip(*autos))
+    autos, inducers, images = automorphisms(H)
     non_thin = members(H.full & ~thin_elements(H))
     rep_of: dict[int, tuple[int, tuple[int, ...]]] = {}
     stabilizer: dict[int, list[int]] = {}  # representative -> fixers' j
     masks: dict[int, tuple[int, int]] = {}  # representative -> (N, S)
-
-    def images_of(m):
-        # m's image under each automorphism, in the order of autos.
-        return map(sum, zip(*map(images.__getitem__, bits(m))))
 
     def add_orbit(g):
         # Each member of g's orbit -> (g, an automorphism carrying g onto
@@ -184,7 +194,7 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
         # and their h join both masks.
         fixing = stabilizer[g] = []
         n_mask = 0
-        for j, m in enumerate(images_of(g)):
+        for j, m in enumerate(orbit_images(images, g)):
             if m == g:
                 fixing.append(j)
                 n_mask |= inducers[j]
@@ -209,7 +219,8 @@ def _enumerate(H: FiniteHypergroup) -> ClosedSubsetLattice:
     cyclic_of: dict[int, int] = {}
     for x in range(H.rank):
         if 1 << x not in cyclic_of:
-            cyclic_of.update(zip(images[x], images_of(closure(H, 1 << x))))
+            cyclic_of.update(zip(images[x],
+                                 orbit_images(images, closure(H, 1 << x))))
     cyclic: dict[int, int] = {}
     for x in range(1, H.rank):
         cyclic.setdefault(cyclic_of[1 << x], x)

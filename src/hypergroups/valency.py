@@ -13,6 +13,7 @@ from .core import (
     cached,
     double_cosets_in,
     is_closed,
+    thin_elements,
 )
 from .errors import (
     HypergroupError,
@@ -29,20 +30,52 @@ def thin_sweeps(H: FiniteHypergroup, rule=None) -> tuple[dict, dict]:
     per rule: None admits every step order (the number of double cosets of
     lo in hi), a PrimePartition the orders whose prime divisors lie in one
     of its classes, and is_prime the prime orders."""
-    def order_ok(lo, hi):
-        n = len(double_cosets_in(H, lo, hi))
-        return is_prime(n) if rule is is_prime else spans_single_class(n, rule)
+    def compute():
+        order = _step_order(H)
 
-    step_ok = None if rule is None else order_ok
-    return cached(H, ("chains", rule), lambda: sweeps(
-        H, closed_subsets(H).strongly_normal_in, step_ok))
+        def order_ok(lo, hi):
+            n = order(lo, hi)
+            return (is_prime(n) if rule is is_prime
+                    else spans_single_class(n, rule))
+
+        return sweeps(H, closed_subsets(H).strongly_normal_in,
+                      None if rule is None else order_ok)
+
+    return cached(H, ("chains", rule), compute)
 
 
 def step_orders(H: FiniteHypergroup, path) -> tuple[int, ...]:
     """The number of double cosets of lo in hi for each step lo < hi of
     path, an ascending chain of closed subsets: the orders of its step
-    quotients, whose product is a valency along a thin chain from {0}."""
-    return tuple(len(double_cosets_in(H, lo, hi)) for lo, hi in zip(path, path[1:]))
+    quotients, whose product is a valency along a thin chain from {0}.
+    It reads the lattice, so it is refused above the rank cap, as every
+    chain question is."""
+    return tuple(map(_step_order(H), path, path[1:]))
+
+
+def _step_order(H: FiniteHypergroup):
+    """The map (lo, hi) -> the number of double cosets lo h lo, h in hi, of
+    closed lo <= hi.
+
+    By Lagrange's theorem it is |hi|/|lo| when every member of hi is thin
+    and lo is strongly normal in hi. Then hi is a group: its products are
+    single elements (see closed_subsets), associative by H1, with identity
+    0 and inverse h* of h, as h* h = {0}; and the closed lo is a subgroup.
+    Strong normality, h* lo h inside lo for every h in hi, makes lo normal,
+    so h lo = lo h and lo h lo = lo lo h = lo h: the double cosets are the
+    cosets of lo, which partition hi into blocks of |lo| members each.
+    Otherwise they are counted (double_cosets_in): in S3, {0, r} for a
+    reflection r is not normal, and has 2 double cosets, not 3.
+    """
+    thin = thin_elements(H)
+    strong = closed_subsets(H).strongly_normal_in
+
+    def order(lo, hi):
+        if not hi & ~thin and (lo, hi) in strong:
+            return hi.bit_count() // lo.bit_count()
+        return len(double_cosets_in(H, lo, hi))
+
+    return order
 
 
 def rt_chain(H: FiniteHypergroup) -> tuple[int, ...] | None:

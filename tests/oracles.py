@@ -3,10 +3,11 @@
 Everything here works on plain python sets and integer Cayley tables, not
 on the package's bitmask representation, and recomputes results by direct
 enumeration so the main code paths are checked against a second route. The
-seven exceptions are naive_parse_document, which is the native reader
+eight exceptions are naive_parse_document, which is the native reader
 with its per-token checks, reading lines and integers through the
 package's own helpers, naive_conjugations, which reads every conjugation map
-off the package's bitmask table, climb, which searches the package's own
+off the package's bitmask table, naive_are_conjugate, which tests every
+element by the package's complex products, climb, which searches the package's own
 lattice relations depth first for chains, chain_products, which runs over
 the package's strongly normal pairs, naive_solvability_suite, which
 asks the package's own sigma-solvability test about every quotient and
@@ -650,6 +651,24 @@ def naive_pi_valenced_violation(H, sigma, pi):
             if is_closed(q, s) and valency_of(q, s) != s.bit_count():
                 raise InternalConsistencyError(
                     "thin closed product set with valency differing from size")
+    return None
+
+
+def naive_are_conjugate(H, S, T) -> int | None:
+    """The first element h with h S h* inside T and h T h* inside S, if any:
+    every h tested by products, in index order."""
+    from hypergroups import complex_product
+
+    sm = H.subset(S)
+    tm = H.subset(T)
+    for h in range(H.rank):
+        hm = 1 << h
+        hsm = 1 << H.star[h]
+        if complex_product(H, hm, complex_product(H, sm, hsm)) & ~tm:
+            continue
+        if complex_product(H, hm, complex_product(H, tm, hsm)) & ~sm:
+            continue
+        return h
     return None
 
 

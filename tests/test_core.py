@@ -117,6 +117,18 @@ def test_structural_errors_are_not_axiom_violations():
         validate([[{0}], [{1}, {0}]], IDENT_STAR)
 
 
+@pytest.mark.parametrize("image", [0.5, "0", None, 1.2],
+                         ids=["half", "str", "none", "float"])
+def test_star_images_are_integers(image):
+    # Star images are read through operator.index, as set entries are: no
+    # float or string is truncated or converted into a valid star, and
+    # None is a structural error, not a bare TypeError.
+    with pytest.raises(StructuralError, match="^star images must be integers$"):
+        validate(K2_TABLE, [0, image])
+    with pytest.raises(StructuralError, match="^star images must be integers$"):
+        FiniteHypergroup(K2_TABLE, [image, 1])
+
+
 _FAR = 8 * 10**7  # the bit of this index alone is a 10 MB int
 
 

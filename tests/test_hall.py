@@ -1,7 +1,7 @@
 import importlib
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -55,8 +55,11 @@ from hypergroups.valency import thin_sweeps
 from instance_checks import is_thin
 from oracles import (
     climb,
+    naive_are_conjugate,
+    naive_double_cosets,
     naive_hall_constructive,
     naive_pi_valenced_violation,
+    naive_product,
     naive_solvability_suite,
     naive_subnormal,
     sets_of,
@@ -406,6 +409,50 @@ def test_pi_valence_on_two_disjoint_sides_forces_thinness(corpus, group_quotient
     assert (non_thin, pairs) == (11, 12)
 
 
+def test_hall_systems_of_thin_inputs_exist_and_are_conjugate(corpus, groups):
+    """Hall systems are the sigma analogue of P. Hall's Sylow systems (P.
+    Hall, On the Sylow systems of a soluble group, Proc. London Math. Soc.
+    (2) 43, 1937): one Hall sigma_i-subset per class sigma_i of the
+    valency's primes, pairwise permutable. On each thin input, a group,
+    and each partition with at least two such classes whose Hall
+    hypotheses hold for every single class, a system exists, and for any
+    two systems one element h carries them member by member, h* S_i h =
+    T_i. Permutability and conjugacy are checked with products on python
+    sets, not with are_conjugate: a second route for the group case of the
+    Hall conclusions.
+    """
+    partitions = (SMALLEST, parse_partition("2|3,5"), parse_partition("2,3|5"))
+    cases = pairs = 0
+    for h in [*_quotient_inputs(corpus, groups), _f21()]:
+        if thin_elements(h) != h.full:
+            continue
+        table, star = sets_of(h)
+        primes = prime_factors(valency(h))
+        for sigma in partitions:
+            classes = sorted({sigma.class_of(p) for p in primes}, key=min)
+            pis = [PiSelection(frozenset([c])) for c in classes]
+            if len(pis) < 2 or not all(
+                    verify_hall(h, sigma, pi).hypotheses_hold for pi in pis):
+                continue
+            cases += 1
+            families = [[frozenset(members(c))
+                         for c in hall_subsets_enumerated(h, sigma, pi)]
+                        for pi in pis]
+            systems = [system for system in product(*families)
+                       if all(naive_product(table, a, b) ==
+                              naive_product(table, b, a)
+                              for a, b in combinations(system, 2))]
+            assert systems, (h.name, str(sigma))
+            for a, b in combinations(systems, 2):
+                pairs += 1
+                assert any(all(naive_product(table, {star[x]},
+                                             naive_product(table, s, {x})) == t
+                               for s, t in zip(a, b))
+                           for x in range(h.rank)), (h.name, str(sigma))
+    # 19 (input, partition) cases, 375 pairs of systems.
+    assert (cases, pairs) == (19, 375)
+
+
 def test_two_class_partition_matches_smallest_on_radicals(corpus):
     # A partition into {2} and everything-else behaves like the smallest
     # partition with the {2} class selected, on every fixture valency.
@@ -488,15 +535,24 @@ def _passes(rule, n):
 def test_sweeps_match_the_oracle_climb(corpus, groups):
     # Every chain question of the form ({0}, C) or (E, full set) is
     # answered as the depth-first climb answers it, and every chain the
-    # sweeps keep is a chain of the question asked.
+    # sweeps keep is a chain of the question asked. Step orders are counted
+    # on python sets (naive_double_cosets), not read from step_orders.
     rules = (None, SMALLEST, parse_partition("2|3,5"), is_prime)
     for h in [*_quotient_inputs(corpus, groups), _f21()]:
         lat = closed_subsets(h)
         strong = lat.strongly_normal_in
+        table, _ = sets_of(h)
+        orders = {}
+
+        def order(lo, hi):
+            if (lo, hi) not in orders:
+                orders[lo, hi] = len(naive_double_cosets(
+                    table, members(lo), members(hi)))
+            return orders[lo, hi]
+
         for rule in rules:
             step_ok = None if rule is None else (
-                lambda lo, hi, rule=rule:
-                _passes(rule, step_orders(h, (lo, hi))[0]))
+                lambda lo, hi, rule=rule: _passes(rule, order(lo, hi)))
             up, down = thin_sweeps(h, rule)
             for c in lat.subsets:
                 for bottom, top in ((1, c), (c, h.full)):
@@ -510,10 +566,85 @@ def test_sweeps_match_the_oracle_climb(corpus, groups):
                     assert all((lo, hi) in strong and lo != hi
                                for lo, hi in zip(got, got[1:]))
                     assert rule is None or all(
-                        _passes(rule, n) for n in step_orders(h, got))
+                        step_ok(lo, hi) for lo, hi in zip(got, got[1:]))
         assert set(subnormal_closed_subsets(h)) == {
             u for u in lat.subsets
             if next(climb(h, lat.normal_in, u, h.full), None)}, h.name
+
+
+def test_step_orders_match_the_naive_count(corpus, groups):
+    # A step's order is |hi|/|lo| when hi is thin and lo strongly normal in
+    # it (Lagrange), else a count of double cosets; both agree with the
+    # count on python sets on every strongly normal pair, thin or not.
+    kinds = Counter()
+    for h in [*_quotient_inputs(corpus, groups), _f21()]:
+        table, _ = sets_of(h)
+        thin = thin_elements(h)
+        for lo, hi in closed_subsets(h).strongly_normal_in:
+            want = len(naive_double_cosets(table, members(lo), members(hi)))
+            assert step_orders(h, (lo, hi)) == (want,), (h.name, lo, hi)
+            kinds["thin" if not hi & ~thin else "not thin"] += 1
+    assert kinds["thin"] and kinds["not thin"]
+    # A subgroup that is not normal is counted, not divided: a reflection
+    # subgroup of S3 has 2 double cosets, not 3 cosets.
+    s3 = corpus["s3"]
+    refl = closure(s3, [next(s for s in range(1, 6)
+                             if fx.element_order(s3, s) == 2)])
+    assert (refl, s3.full) not in closed_subsets(s3).strongly_normal_in
+    assert step_orders(s3, (refl, s3.full)) == (2,)
+
+
+def test_are_conjugate_matches_the_naive_witness(corpus, group_quotients):
+    # The thin witnesses read off the stored automorphisms, with the
+    # non-thin elements below the least of them tested by products, give
+    # the first witness in index order that testing every element by
+    # products gives: on every ordered pair of closed subsets of the
+    # corpus, every group quotient, A5 and F21. S4//C2's witnesses 1, 5
+    # and 2, the last two not thin, are among the pairs.
+    kinds = Counter()
+    for h in [*corpus.values(), *group_quotients.values(),
+              fx.alt5().with_rank_cap(60), _f21()]:
+        subsets = closed_subsets(h).subsets
+        thin = thin_elements(h)
+        for s in subsets:
+            for t in subsets:
+                got = are_conjugate(h, s, t)
+                assert got == naive_are_conjugate(h, s, t), (h.name, s, t)
+                kinds[None if got is None else bool(thin >> got & 1)] += 1
+        for s, t in ((0, 0), (0, 1), (h.full, 0)):  # no image to read
+            assert are_conjugate(h, s, t) == naive_are_conjugate(h, s, t)
+    assert kinds == {None: 6850, True: 1433, False: 12}
+
+
+def test_are_conjugate_reads_thin_witnesses_without_products(monkeypatch):
+    # A5 is thin, so every witness among its 5 Hall {2}-subsets is read
+    # off the stored automorphisms: no complex product is formed.
+    a5 = fx.alt5().with_rank_cap(60)
+    halls = hall_subsets_enumerated(a5, SMALLEST, _sel("{2}"))
+    pairs = list(combinations(halls, 2))
+    assert len(pairs) == 10
+    calls = []
+    real = hall.complex_product
+
+    def counting(h, p, q):
+        calls.append((p, q))
+        return real(h, p, q)
+
+    monkeypatch.setattr(hall, "complex_product", counting)
+    witnesses = [are_conjugate(a5, s, t) for s, t in pairs]
+    assert calls == []
+    monkeypatch.undo()
+    assert witnesses == [naive_are_conjugate(a5, s, t) for s, t in pairs]
+
+
+def test_thin_step_orders_count_no_double_cosets():
+    # Every step of A5's strongly normal pairs ends in a thin subset, so
+    # the smallest partition's sweeps read each step order by Lagrange and
+    # store no double cosets.
+    a5 = fx.alt5().with_rank_cap(60)
+    thin_sweeps(a5, SMALLEST)
+    assert not [k for k in a5._cache
+                if isinstance(k, tuple) and k[0] == "double_cosets"]
 
 
 def test_hall_constructive_matches_the_quotient_route(corpus, groups):
