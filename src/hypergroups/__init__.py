@@ -15,7 +15,6 @@ from .core import (
     closure,
     complex_product,
     is_closed,
-    restrict_subset,
     star_set,
     sub_hypergroup,
     thin_elements,

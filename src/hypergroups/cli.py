@@ -146,7 +146,7 @@ def cmd_quotient(args) -> int:
     h = _load(args)
     spec = args.generators.strip()
     try:
-        gens = [integer(tok) for tok in spec.split(",") if tok.strip()] if spec else []
+        gens = [integer(tok) for tok in spec.split(",")] if spec else []
     except ValueError:
         raise StructuralError(f"bad generator list {spec!r}") from None
     if any(g < 0 or g >= h.rank for g in gens):

@@ -471,35 +471,39 @@ def sub_hypergroup(H: FiniteHypergroup, F) -> FiniteHypergroup:
     Elements keep their relative order, so element i of the result is the
     i-th smallest member of F. Products of members of F stay inside F (a
     closed F is star-closed, so a . b = (a*)* . b lies in F), and every
-    axiom survives restriction.
+    axiom survives restriction. It is the hypergroup of the blocks
+    {0} h {0} = {h} for h in F, by H2 and UNIT.
     """
     fm = H.subset(F)
     if not is_closed(H, fm):
         raise PreconditionError("sub_hypergroup requires a closed subset")
-    return cached(H, ("sub", fm), lambda: _build_sub(H, fm))
+    return cached(H, ("sub", fm), lambda: _induced(
+        H, 1, fm, f"{H.name}[{','.join(map(str, members(fm)))}]"))
 
 
-def _build_sub(H: FiniteHypergroup, fm: int) -> FiniteHypergroup:
-    elems = members(fm)
-    pos = {e: i for i, e in enumerate(elems)}
-    star = tuple(pos[H.star[e]] for e in elems)
+def _induced(H: FiniteHypergroup, lo: int, hi: int, name: str) -> FiniteHypergroup:
+    """The hypergroup on the blocks double_cosets_in(H, lo, hi), closed lo
+    <= hi, in their order: the product of two blocks is the set of blocks
+    met by a lo b for their least members a and b, and the star of a block
+    is the block of a*. The one builder of restrictions (lo = {0}),
+    quotients (hi the full set) and sections. The table is re-validated
+    defensively; a failure indicates an implementation bug, not a property
+    of the input.
+    """
+    blocks = double_cosets_in(H, lo, hi)
+    proj = {e: i for i, block in enumerate(blocks) for e in bits(block)}
+    reps = [next(bits(b)) for b in blocks]
     table = []
-    for a in elems:
-        row = []
-        for b in elems:
-            row.append(mask_of(pos[x] for x in bits(H.table[a][b])))
-        table.append(tuple(row))
-    name = f"{H.name}[{','.join(map(str, elems))}]"
-    return FiniteHypergroup(tuple(table), star, name=name, rank_cap=H.rank_cap)
-
-
-def restrict_subset(F, S) -> int:
-    """Re-index a subset S of a closed F into sub_hypergroup coordinates."""
-    out = 0
-    for i, e in enumerate(bits(F)):
-        if (S >> e) & 1:
-            out |= 1 << i
-    return out
+    for a in reps:
+        a_lo = complex_product(H, 1 << a, lo)
+        table.append(tuple(mask_of(map(proj.__getitem__, bits(
+            complex_product(H, a_lo, 1 << b)))) for b in reps))
+    star = tuple(proj[H.star[r]] for r in reps)
+    try:
+        return FiniteHypergroup(tuple(table), star, name=name, rank_cap=H.rank_cap)
+    except InvalidHypergroupError as exc:
+        raise InternalConsistencyError(
+            f"induced table failed validation: {exc}") from exc
 
 
 def double_cosets_in(H: FiniteHypergroup, lo: int, hi: int) -> tuple[int, ...]:

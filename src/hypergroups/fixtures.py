@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import FiniteHypergroup, closure
+from .formats import thin_from_table
 from .lattice import closed_subsets
 from .quotient import quotient
 
@@ -33,14 +34,6 @@ def group_table(generators) -> list[list[int]]:
                 elems.append(f)
                 queue.append(f)
     return [[index[_perm_mul(a, b)] for b in elems] for a in elems]
-
-
-def thin_from_table(table, name: str) -> FiniteHypergroup:
-    """Thin hypergroup of a group's integer Cayley table (identity index 0)."""
-    n = len(table)
-    inv = tuple(row.index(0) for row in table)
-    masks = tuple(tuple(1 << table[a][b] for b in range(n)) for a in range(n))
-    return FiniteHypergroup(masks, inv, name=name)
 
 
 def cayley_text(table, name: str) -> str:

@@ -29,8 +29,7 @@ is kept.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add, or_
+from operator import add
 
 from .bitset import bits, mask_of, members
 from .core import FiniteHypergroup
@@ -113,32 +112,53 @@ def _square(lines, count_line: str, count_what: str, row_what: str,
 def parse_document(text: str) -> FiniteHypergroup:
     """The validated hypergroup of a native document, identity relabeled to 0.
 
-    An ASCII entry line 'p q : members' of digits in range, for a new
-    (p, q), is split once and stored, each distinct member text converted
-    once; every other line takes every check, in order."""
-    ascii_text = text.isascii()
+    An entry line 'p q : members' takes its checks in one place, in order:
+    rank first, the ':' shape, the two indices (ASCII digit strings
+    converted directly, any other through the one grammar), their range,
+    the members, converted and checked once per distinct member text, and
+    the duplicate entry."""
     lines = list(_meaningful_lines(text))
     name = _header(lines, "hypergroup", "H")
     rank = star = None
     identity = 0
     identity_line = lines[0][0]
     cells: dict[int, int] = {}  # p * rank + q -> mask of entry (p, q)
-    masks: dict[str, int] = {}  # member text -> its mask
+    masks: dict[str, int] = {}  # member text -> its mask, once checked
     headers = set()
     for lineno, line in lines[1:]:
         parts = line.split(None, 3)
-        if (rank and len(parts) == 4 and parts[2] == ":" and (ascii_text or line.isascii())
-                and parts[0].isdecimal() and parts[1].isdecimal()):
-            try:
-                p, q = int(parts[0]), int(parts[1])
-            except ValueError:  # more digits than int() converts
-                p = q = rank
-            mask = masks.get(parts[3]) or _members_mask(parts[3], rank)
-            if mask and p < rank and q < rank and p * rank + q not in cells:
-                cells[p * rank + q] = masks[parts[3]] = mask
-                continue
+        key = parts[0]
+        if key.lstrip("-").isdigit():
+            if rank is None:
+                raise ParseError("table entry before rank", lineno)
+            if len(parts) < 3 or parts[2] != ":" or parts[1] == ":":
+                raise ParseError("table entry needs exactly two indices before ':'"
+                                 if ":" in line.split() else
+                                 "table entry needs 'p q : members'", lineno)
+            row, col = parts[0], parts[1]
+            digits = row + col  # int() converts 640 digits under any limit set
+            if digits.isascii() and digits.isdecimal() and len(digits) <= 640:
+                p, q = int(row), int(col)
+            else:
+                p = _int(row, lineno, "row index")
+                q = _int(col, lineno, "column index")
+            if not (0 <= p < rank and 0 <= q < rank):
+                raise ParseError(f"entry indices ({p},{q}) out of range", lineno)
+            listed = parts[3] if len(parts) == 4 else ""
+            mask = masks.get(listed)
+            if mask is None:
+                mem = [_int(tok, lineno, "member index") for tok in listed.split()]
+                if not mem:
+                    raise ParseError(f"empty product set at ({p},{q})", lineno)
+                if min(mem) < 0 or max(mem) >= rank:
+                    raise ParseError(f"product member out of range at ({p},{q})",
+                                     lineno)
+                mask = masks[listed] = mask_of(mem)
+            if p * rank + q in cells:
+                raise ParseError(f"duplicate table entry ({p},{q})", lineno)
+            cells[p * rank + q] = mask
+            continue
         toks = line.split()
-        key = toks[0]
         if key in headers:
             raise ParseError(f"duplicate {key} line", lineno)
         if key in ("rank", "identity", "star"):
@@ -162,8 +182,6 @@ def parse_document(text: str) -> FiniteHypergroup:
             star = tuple(_int(t, lineno, "star index") for t in toks[1:])
             if any(not 0 <= x < rank for x in star):
                 raise ParseError("star index out of range", lineno)
-        elif key.lstrip("-").isdigit():
-            _entry(toks, lineno, rank, cells)
         else:
             raise ParseError(f"unrecognized line {key!r}", lineno)
     if rank is None:
@@ -184,40 +202,6 @@ def parse_document(text: str) -> FiniteHypergroup:
         table = tuple(tuple(mask_of(perm[x] for x in bits(table[p][q]))
                             for q in perm) for p in perm)
     return FiniteHypergroup(table, star, name=name)
-
-
-def _members_mask(text: str, rank: int) -> int:
-    """Mask of an ASCII list of digit strings in 0..rank-1, else a false value."""
-    toks = text.split()
-    try:
-        idx = list(map(int, toks))
-    except ValueError:  # not integers, or more digits than int() converts
-        return 0
-    return (all(map(str.isdecimal, toks)) and max(idx) < rank
-            and reduce(or_, map((1).__lshift__, idx)))
-
-
-def _entry(toks, lineno: int, rank, cells) -> None:
-    """Check the entry line toks and store its mask in cells at p * rank + q."""
-    if rank is None:
-        raise ParseError("table entry before rank", lineno)
-    if ":" not in toks:
-        raise ParseError("table entry needs 'p q : members'", lineno)
-    if toks.index(":") != 2:
-        raise ParseError("table entry needs exactly two indices before ':'",
-                         lineno)
-    p = _int(toks[0], lineno, "row index")
-    q = _int(toks[1], lineno, "column index")
-    if not (0 <= p < rank and 0 <= q < rank):
-        raise ParseError(f"entry indices ({p},{q}) out of range", lineno)
-    mem = [_int(t, lineno, "member index") for t in toks[3:]]
-    if not mem:
-        raise ParseError(f"empty product set at ({p},{q})", lineno)
-    if any(x < 0 or x >= rank for x in mem):
-        raise ParseError(f"product member out of range at ({p},{q})", lineno)
-    if p * rank + q in cells:
-        raise ParseError(f"duplicate table entry ({p},{q})", lineno)
-    cells[p * rank + q] = mask_of(mem)
 
 
 def serialize_hypergroup(H: FiniteHypergroup) -> str:
@@ -273,16 +257,21 @@ def cayley_to_hypergroup(text: str) -> FiniteHypergroup:
         if len(set(cols[i])) != n:
             raise ParseError(f"not a Latin square: repeated symbol in column {i}",
                              rows[0][0])
-    inv = tuple(row.index(0) for row in table)
-    bit = [1 << i for i in ident]
-    masks = tuple(tuple(map(bit.__getitem__, row)) for row in table)
     try:
-        return FiniteHypergroup(masks, inv, name=name)
+        return thin_from_table(table, name)
     except InvalidHypergroupError as exc:
         a, b, c = next(v.witness for v in exc.report.violations if v.axiom == "H1")
         raise ParseError(
             f"not associative at ({symbols[a]},{symbols[b]},{symbols[c]})",
             rows[a][0]) from None
+
+
+def thin_from_table(table, name: str) -> FiniteHypergroup:
+    """Thin hypergroup of a group's integer Cayley table (identity index 0):
+    each product the singleton of its entry, the star the inverse."""
+    bit = [1 << i for i in range(len(table))]
+    masks = tuple(tuple(map(bit.__getitem__, row)) for row in table)
+    return FiniteHypergroup(masks, tuple(row.index(0) for row in table), name=name)
 
 
 def scheme_to_hypergroup(text: str) -> FiniteHypergroup:

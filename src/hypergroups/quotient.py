@@ -4,21 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits, mask_of, members
-from .core import (
-    FiniteHypergroup,
-    cached,
-    complex_product,
-    double_cosets_in,
-    is_closed,
-    restrict_subset,
-    sub_hypergroup,
-)
-from .errors import (
-    InternalConsistencyError,
-    InvalidHypergroupError,
-    PreconditionError,
-)
+from .bitset import members
+from .core import FiniteHypergroup, _induced, cached, double_cosets_in, is_closed
+from .errors import PreconditionError
 
 
 def double_cosets(H: FiniteHypergroup, F) -> tuple[int, ...]:
@@ -45,8 +33,7 @@ def quotient(H: FiniteHypergroup, F) -> QuotientMap:
     """Quotient of H over a closed subset F.
 
     The product of two blocks is the set of blocks met by a F b for block
-    representatives a and b. The induced table is re-validated defensively;
-    a failure indicates an implementation bug, not a property of the input.
+    representatives a and b, built by core._induced.
 
     The lattice of H//F is read in H's own lattice, from F upward (the
     correspondence theorem; P.-H. Zieschang, Theory of Association
@@ -70,40 +57,27 @@ def quotient(H: FiniteHypergroup, F) -> QuotientMap:
     double cosets as G' has blocks, the valency of the thin G'.
     """
     fm = H.subset(F)
-    return cached(H, ("quotient", fm), lambda: _build_quotient(H, fm))
-
-
-def _build_quotient(H: FiniteHypergroup, fm: int) -> QuotientMap:
-    blocks = double_cosets(H, fm)
-    k = len(blocks)
-    proj = [0] * H.rank
-    for i, block in enumerate(blocks):
-        for e in bits(block):
-            proj[e] = i
-    reps = [next(bits(b)) for b in blocks]
-    table = []
-    for a in reps:
-        a_f = complex_product(H, 1 << a, fm)
-        row = []
-        for b in reps:
-            afb = complex_product(H, a_f, 1 << b)
-            row.append(mask_of(proj[x] for x in bits(afb)))
-        table.append(tuple(row))
-    qstar = tuple(proj[H.star[r]] for r in reps)
-    name = f"{H.name}//[{','.join(map(str, members(fm)))}]"
-    try:
-        q = FiniteHypergroup(tuple(table), qstar, name=name, rank_cap=H.rank_cap)
-    except InvalidHypergroupError as exc:
-        raise InternalConsistencyError(
-            f"induced quotient table failed validation: {exc}") from exc
-    return QuotientMap(quotient=q)
+    double_cosets(H, fm)  # refuses an F that is not closed
+    return cached(H, ("quotient", fm), lambda: QuotientMap(_induced(
+        H, fm, H.full, f"{H.name}//[{','.join(map(str, members(fm)))}]")))
 
 
 def section_quotient(H: FiniteHypergroup, E, G) -> QuotientMap:
-    """Quotient G//E computed inside the sub-hypergroup on G, for E <= G closed."""
+    """Quotient G//E of the sub-hypergroup on G, for E <= G closed, read in
+    H: the blocks E g E for g in G keep their order when G is re-indexed
+    from 0, so the table is the same. Named as the quotient of
+    sub_hypergroup(H, G) by E re-indexed into it."""
     em = H.subset(E)
     gm = H.subset(G)
     if em & ~gm:
         raise PreconditionError("section_quotient requires E inside G")
-    sub = sub_hypergroup(H, gm)
-    return quotient(sub, restrict_subset(gm, em))
+    if not (is_closed(H, gm) and is_closed(H, em)):
+        raise PreconditionError("section_quotient requires closed subsets")
+
+    def build():
+        elems = members(gm)
+        inner = ",".join(str(i) for i, e in enumerate(elems) if em >> e & 1)
+        name = f"{H.name}[{','.join(map(str, elems))}]//[{inner}]"
+        return QuotientMap(_induced(H, em, gm, name))
+
+    return cached(H, ("section", em, gm), build)

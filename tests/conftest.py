@@ -40,3 +40,11 @@ def group_quotients(groups):
     pairs += [("a5", a5, k) for k in closed_subsets(a5).subsets if k != 1]
     return {f"{name}//{members(k)}": quotient(g, k).quotient
             for name, g, k in pairs}
+
+
+@pytest.fixture(scope="session")
+def f21():
+    """The Frobenius group of order 21: solvable, with seven Sylow
+    3-subgroups and no element of order 2."""
+    return fx.thin_from_table(fx.group_table(
+        [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)]), "f21")

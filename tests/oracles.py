@@ -3,13 +3,14 @@
 Everything here works on plain python sets and integer Cayley tables, not
 on the package's bitmask representation, and recomputes results by direct
 enumeration so the main code paths are checked against a second route. The
-eight exceptions are naive_parse_document, which is the native reader
+ten exceptions are naive_parse_document, which is the native reader
 with its per-token checks, reading lines and integers through the
-package's own helpers, naive_conjugations, which reads every conjugation map
+package's own helpers, naive_sub_hypergroup, which restricts the package's
+bitmask table, naive_conjugations, which reads every conjugation map
 off the package's bitmask table, naive_are_conjugate, which tests every
 element by the package's complex products, climb, which searches the package's own
-lattice relations depth first for chains, chain_products, which runs over
-the package's strongly normal pairs, naive_solvability_suite, which
+lattice relations depth first for chains, chain_products and chain_types,
+which run over the package's strongly normal pairs, naive_solvability_suite, which
 asks the package's own sigma-solvability test about every quotient and
 sub-hypergroup separately, naive_hall_constructive, which searches the
 quotient over the Pi-radical in that quotient's own lattice, and
@@ -252,6 +253,25 @@ def naive_parse_document(text: str):
                   for q in range(rank))
             for p in range(rank))
     return FiniteHypergroup(table, star, name=name)
+
+
+def naive_sub_hypergroup(H, fm: int):
+    """The restriction of H to the closed fm, re-indexed from 0, built
+    entry by entry from H's table: the second route for sub_hypergroup and,
+    with quotient, for section_quotient."""
+    from hypergroups import FiniteHypergroup, bits, mask_of, members
+
+    elems = members(fm)
+    pos = {e: i for i, e in enumerate(elems)}
+    star = tuple(pos[H.star[e]] for e in elems)
+    table = []
+    for a in elems:
+        row = []
+        for b in elems:
+            row.append(mask_of(pos[x] for x in bits(H.table[a][b])))
+        table.append(tuple(row))
+    name = f"{H.name}[{','.join(map(str, elems))}]"
+    return FiniteHypergroup(tuple(table), star, name=name, rank_cap=H.rank_cap)
 
 
 def naive_scheme_supports(mat) -> tuple[tuple[int, ...], ...]:
@@ -534,6 +554,35 @@ def chain_products(H) -> dict[int, set[int]]:
                 k = len(naive_double_cosets(table, members(d), members(c)))
                 products.setdefault(c, set()).update(p * k for p in products[d])
     return products
+
+
+def chain_types(H) -> dict[int, set[tuple[int, ...]]]:
+    """Each closed C that a prime-step chain ({0}, ..., C) reaches -> the
+    set of the sorted step orders of all such chains: its composition types.
+
+    A prime-step chain has strongly normal steps D < C, each with a prime
+    number of double cosets, the rule of is_solvable. The same dynamic
+    programme as chain_products, with orders counted on python sets. C has
+    one type iff its set has one member, the analogue of the Jordan-Hoelder
+    theorem for solvable groups.
+    """
+    from hypergroups import closed_subsets, members
+
+    table, _ = sets_of(H)
+    lat = closed_subsets(H)
+    below: dict[int, list[int]] = {}
+    for d, c in lat.strongly_normal_in:
+        if d != c:
+            below.setdefault(c, []).append(d)
+    types = {1: {()}}
+    for c in lat.subsets:
+        for d in below.get(c, ()):
+            if d in types:
+                k = len(naive_double_cosets(table, members(d), members(c)))
+                if trial_prime_factors(k) == {k}:
+                    types.setdefault(c, set()).update(
+                        tuple(sorted((*t, k))) for t in types[d])
+    return types
 
 
 # ---------------------------------------------------------------------------

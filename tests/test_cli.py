@@ -263,6 +263,10 @@ def test_hall_bad_pi_syntax(capsys, fixtures_dir):
     (("quotient", "s3.cayley", "+1"), "bad generator list '+1'"),
     (("quotient", "s3.cayley", "1_0"), "bad generator list '1_0'"),
     (("quotient", "s3.cayley", "\u0661"), "bad generator list '\u0661'"),
+    # An empty token is refused, as in every other integer list.
+    (("quotient", "s3.cayley", "1,,2"), "bad generator list '1,,2'"),
+    (("quotient", "s3.cayley", "1,"), "bad generator list '1,'"),
+    (("quotient", "s3.cayley", " , "), "bad generator list ','"),
 ])
 def test_syntax_errors_exit_two(capsys, fixtures_dir, argv, message):
     command, file, *rest = argv

@@ -282,23 +282,16 @@ def test_s4_mod_c2_conjugacy_needs_non_thin_witnesses():
     assert rep.hypotheses_hold and rep.conclusions_hold
 
 
-def _f21():
-    # The Frobenius group of order 21: solvable, with seven Sylow
-    # 3-subgroups and no element of order 2.
-    return fx.thin_from_table(fx.group_table(
-        [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)]), "f21")
-
-
-def test_f21_hall_hypotheses_hold():
-    rep = verify_hall(_f21(), SMALLEST, _sel("{3}"))
+def test_f21_hall_hypotheses_hold(f21):
+    rep = verify_hall(f21, SMALLEST, _sel("{3}"))
     assert rep.hypotheses_hold
     assert len(rep.hall_subsets) == 7
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: are_conjugate asks for "
                    "one element that swaps S and T; no involution exists in F21")
-def test_f21_hall_subsets_are_conjugate():
-    assert verify_hall(_f21(), SMALLEST, _sel("{3}")).conclusion_conjugate
+def test_f21_hall_subsets_are_conjugate(f21):
+    assert verify_hall(f21, SMALLEST, _sel("{3}")).conclusion_conjugate
 
 
 def test_verify_hall_s3(corpus):
@@ -352,7 +345,7 @@ def test_no_thin_forcing_counterexamples(corpus):
                 assert is_thin(h), (h.name, text)
 
 
-def test_pi_valence_on_two_disjoint_sides_forces_thinness(corpus, group_quotients):
+def test_pi_valence_on_two_disjoint_sides_forces_thinness(corpus, group_quotients, f21):
     """Let H be residually thin and not thin. Then some h has h*h made of
     thin elements with |h*h| >= 2. So H is Pi-valenced only for selections
     Pi whose classes hold every prime of every such |h*h|.
@@ -378,7 +371,7 @@ def test_pi_valence_on_two_disjoint_sides_forces_thinness(corpus, group_quotient
     No code relies on the lemma.
     """
     inputs = [*corpus.values(), *group_quotients.values(),
-              fx.alt5().with_rank_cap(60), _f21()]
+              fx.alt5().with_rank_cap(60), f21]
     partitions = (SMALLEST, parse_partition("2|3,5"), parse_partition("2,3|5"))
     non_thin = pairs = 0
     for h in inputs:
@@ -409,7 +402,7 @@ def test_pi_valence_on_two_disjoint_sides_forces_thinness(corpus, group_quotient
     assert (non_thin, pairs) == (11, 12)
 
 
-def test_hall_systems_of_thin_inputs_exist_and_are_conjugate(corpus, groups):
+def test_hall_systems_of_thin_inputs_exist_and_are_conjugate(corpus, groups, f21):
     """Hall systems are the sigma analogue of P. Hall's Sylow systems (P.
     Hall, On the Sylow systems of a soluble group, Proc. London Math. Soc.
     (2) 43, 1937): one Hall sigma_i-subset per class sigma_i of the
@@ -423,7 +416,7 @@ def test_hall_systems_of_thin_inputs_exist_and_are_conjugate(corpus, groups):
     """
     partitions = (SMALLEST, parse_partition("2|3,5"), parse_partition("2,3|5"))
     cases = pairs = 0
-    for h in [*_quotient_inputs(corpus, groups), _f21()]:
+    for h in [*_quotient_inputs(corpus, groups), f21]:
         if thin_elements(h) != h.full:
             continue
         table, star = sets_of(h)
@@ -532,13 +525,13 @@ def _passes(rule, n):
     return is_prime(n) if rule is is_prime else spans_single_class(n, rule)
 
 
-def test_sweeps_match_the_oracle_climb(corpus, groups):
+def test_sweeps_match_the_oracle_climb(corpus, groups, f21):
     # Every chain question of the form ({0}, C) or (E, full set) is
     # answered as the depth-first climb answers it, and every chain the
     # sweeps keep is a chain of the question asked. Step orders are counted
     # on python sets (naive_double_cosets), not read from step_orders.
     rules = (None, SMALLEST, parse_partition("2|3,5"), is_prime)
-    for h in [*_quotient_inputs(corpus, groups), _f21()]:
+    for h in [*_quotient_inputs(corpus, groups), f21]:
         lat = closed_subsets(h)
         strong = lat.strongly_normal_in
         table, _ = sets_of(h)
@@ -572,12 +565,12 @@ def test_sweeps_match_the_oracle_climb(corpus, groups):
             if next(climb(h, lat.normal_in, u, h.full), None)}, h.name
 
 
-def test_step_orders_match_the_naive_count(corpus, groups):
+def test_step_orders_match_the_naive_count(corpus, groups, f21):
     # A step's order is |hi|/|lo| when hi is thin and lo strongly normal in
     # it (Lagrange), else a count of double cosets; both agree with the
     # count on python sets on every strongly normal pair, thin or not.
     kinds = Counter()
-    for h in [*_quotient_inputs(corpus, groups), _f21()]:
+    for h in [*_quotient_inputs(corpus, groups), f21]:
         table, _ = sets_of(h)
         thin = thin_elements(h)
         for lo, hi in closed_subsets(h).strongly_normal_in:
@@ -594,7 +587,7 @@ def test_step_orders_match_the_naive_count(corpus, groups):
     assert step_orders(s3, (refl, s3.full)) == (2,)
 
 
-def test_are_conjugate_matches_the_naive_witness(corpus, group_quotients):
+def test_are_conjugate_matches_the_naive_witness(corpus, group_quotients, f21):
     # The thin witnesses read off the stored automorphisms, with the
     # non-thin elements below the least of them tested by products, give
     # the first witness in index order that testing every element by
@@ -603,7 +596,7 @@ def test_are_conjugate_matches_the_naive_witness(corpus, group_quotients):
     # and 2, the last two not thin, are among the pairs.
     kinds = Counter()
     for h in [*corpus.values(), *group_quotients.values(),
-              fx.alt5().with_rank_cap(60), _f21()]:
+              fx.alt5().with_rank_cap(60), f21]:
         subsets = closed_subsets(h).subsets
         thin = thin_elements(h)
         for s in subsets:
@@ -672,7 +665,7 @@ def _outcome(scan, h, sig, pi):
         return type(exc), str(exc)
 
 
-def test_pi_valenced_matches_the_quotient_route(corpus, groups):
+def test_pi_valenced_matches_the_quotient_route(corpus, groups, f21):
     # Each block U h U read through its lift U h* U h U in H gives the
     # witness, or the error, that building H//U and reading its own table
     # gives. In the group of order 32 (50 closed subsets) some block's
@@ -686,7 +679,7 @@ def test_pi_valenced_matches_the_quotient_route(corpus, groups):
     order_32 = fx.thin_from_table(fx.group_table(
         [(3, 7, 5, 0, 6, 2, 4, 1), (6, 3, 1, 4, 2, 7, 0, 5)]), "g32")
     outcomes = []
-    for h in [*_quotient_inputs(corpus, groups), _f21(),
+    for h in [*_quotient_inputs(corpus, groups), f21,
               order_32.with_rank_cap(60)]:
         for sig, pi in cases:
             got = _outcome(pi_valenced_violation, h, sig, pi)
@@ -701,15 +694,17 @@ def test_pi_valenced_matches_the_quotient_route(corpus, groups):
 def test_a5_pipeline_builds_no_quotient(monkeypatch, capsys, fixtures_dir):
     # Every command reads its quotients in A5's own lattice: the suite, the
     # constructive search, the Pi-valenced check and the radical's
-    # thinness.
+    # thinness. The one builder of restrictions, quotients and sections is
+    # never called.
     built = []
-    real = quotient_module._build_quotient
+    real = core._induced
 
-    def counting(h, fm):
-        built.append(fm)
-        return real(h, fm)
+    def counting(h, lo, hi, name):
+        built.append((lo, hi))
+        return real(h, lo, hi, name)
 
-    monkeypatch.setattr(quotient_module, "_build_quotient", counting)
+    for module in (core, quotient_module):
+        monkeypatch.setattr(module, "_induced", counting)
     path = str(fixtures_dir / "a5.cayley")
     pi = ["--sigma", "smallest", "--pi", "{2}"]
     for argv in (["analyze", path], ["hall", path, *pi],

@@ -17,7 +17,7 @@ from hypergroups import (
 from hypergroups import fixtures as fx
 
 from instance_checks import is_thin, isomorphic, project, union_of_blocks
-from oracles import naive_quotient, sets_of
+from oracles import naive_quotient, naive_sub_hypergroup, sets_of
 
 
 def _a3(s3):
@@ -147,6 +147,36 @@ def test_section_quotient_requires_e_inside_g(corpus):
     refl = closure(s3, [fx.involutions(s3)[0]])
     with pytest.raises(PreconditionError, match="E inside G"):
         section_quotient(s3, refl, 1)
+
+
+def _table_star_name(h):
+    return h.table, h.star, h.name
+
+
+def test_one_builder_matches_restriction_then_quotient(corpus, group_quotients):
+    # Restrictions and sections come from the one builder of derived
+    # tables, read in H. The second route restricts H's table to G entry
+    # by entry, then takes the quotient by E re-indexed into G.
+    pairs = 0
+    for h in [*corpus.values(), *group_quotients.values()]:
+        lat = closed_subsets(h).subsets
+        for g in lat:
+            sub = naive_sub_hypergroup(h, g)
+            assert _table_star_name(sub_hypergroup(h, g)) == _table_star_name(sub)
+            position = {e: i for i, e in enumerate(members(g))}
+            for e in lat:
+                if e & ~g:
+                    continue
+                inner = mask_of(position[x] for x in members(e))
+                assert _table_star_name(section_quotient(h, e, g).quotient) == \
+                    _table_star_name(quotient(sub, inner).quotient), (h.name, e, g)
+                pairs += 1
+    assert pairs > 1000
+    s3 = corpus["s3"]
+    not_closed = mask_of([0, fx.involutions(s3)[0], fx.involutions(s3)[1]])
+    for e, g in ((1, not_closed), (not_closed, s3.full)):
+        with pytest.raises(PreconditionError, match="closed"):
+            section_quotient(s3, e, g)
 
 
 def test_strongly_normal_iff_thin_quotient(small_corpus):

@@ -27,7 +27,7 @@ from hypergroups import (
 from hypergroups import fixtures as fx
 
 from instance_checks import is_thin
-from oracles import chain_products, climb, naive_rt_chains, sets_of
+from oracles import chain_products, chain_types, climb, naive_rt_chains, sets_of
 
 
 def _rt_chains(h, limit):
@@ -177,6 +177,22 @@ def test_chain_order_product_independent(corpus, group_quotients):
         assert {c: valency_of(h, c) for c in products} == \
             {c: p.pop() for c, p in products.items()}, name
         assert valency_of(h, h.full) == valency(h), name
+
+
+def test_prime_step_chains_have_one_composition_type(corpus, group_quotients, f21):
+    # Every prime-step chain from {0} to a closed C has the same multiset
+    # of prime step orders, as Jordan-Hoelder gives for solvable groups. Its
+    # product is then C's one step-order product. A second type would make
+    # the number of prime steps in each class of sigma depend on the chain.
+    inputs = [*corpus.items(), *group_quotients.items(), ("f21", f21)]
+    typed = 0
+    for name, h in inputs:
+        types = chain_types(h)
+        assert all(len(t) == 1 for t in types.values()), name
+        products = chain_products(h)
+        assert all({prod(ty) for ty in t} == products[c] for c, t in types.items()), name
+        typed += not is_thin(h) and len(types.get(h.full, ())) == 1
+    assert typed >= 10
 
 
 def test_valency_multiplicative_over_subnormal_quotients(corpus):
