@@ -477,8 +477,12 @@ def sub_hypergroup(H: FiniteHypergroup, F) -> FiniteHypergroup:
     fm = H.subset(F)
     if not is_closed(H, fm):
         raise PreconditionError("sub_hypergroup requires a closed subset")
-    return cached(H, ("sub", fm), lambda: _induced(
-        H, 1, fm, f"{H.name}[{','.join(map(str, members(fm)))}]"))
+    return cached(H, ("sub", fm), lambda: _induced(H, 1, fm, _sub_name(H, fm)))
+
+
+def _sub_name(H: FiniteHypergroup, fm: int) -> str:
+    """The name of the restriction of H to fm: H's name, then fm's members."""
+    return f"{H.name}[{','.join(map(str, members(fm)))}]"
 
 
 def _induced(H: FiniteHypergroup, lo: int, hi: int, name: str) -> FiniteHypergroup:

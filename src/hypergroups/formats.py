@@ -113,10 +113,9 @@ def parse_document(text: str) -> FiniteHypergroup:
     """The validated hypergroup of a native document, identity relabeled to 0.
 
     An entry line 'p q : members' takes its checks in one place, in order:
-    rank first, the ':' shape, the two indices (ASCII digit strings
-    converted directly, any other through the one grammar), their range,
-    the members, converted and checked once per distinct member text, and
-    the duplicate entry."""
+    rank first, the ':' shape, the two indices through the one grammar,
+    their range, the members, converted and checked once per distinct
+    member text, and the duplicate entry."""
     lines = list(_meaningful_lines(text))
     name = _header(lines, "hypergroup", "H")
     rank = star = None
@@ -135,13 +134,8 @@ def parse_document(text: str) -> FiniteHypergroup:
                 raise ParseError("table entry needs exactly two indices before ':'"
                                  if ":" in line.split() else
                                  "table entry needs 'p q : members'", lineno)
-            row, col = parts[0], parts[1]
-            digits = row + col  # int() converts 640 digits under any limit set
-            if digits.isascii() and digits.isdecimal() and len(digits) <= 640:
-                p, q = int(row), int(col)
-            else:
-                p = _int(row, lineno, "row index")
-                q = _int(col, lineno, "column index")
+            p = _int(parts[0], lineno, "row index")
+            q = _int(parts[1], lineno, "column index")
             if not (0 <= p < rank and 0 <= q < rank):
                 raise ParseError(f"entry indices ({p},{q}) out of range", lineno)
             listed = parts[3] if len(parts) == 4 else ""

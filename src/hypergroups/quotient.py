@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import members
-from .core import FiniteHypergroup, _induced, cached, double_cosets_in, is_closed
+from .bitset import mask_of, members
+from .core import FiniteHypergroup, _induced, _sub_name, cached, double_cosets_in, is_closed
 from .errors import PreconditionError
 
 
@@ -57,9 +57,17 @@ def quotient(H: FiniteHypergroup, F) -> QuotientMap:
     double cosets as G' has blocks, the valency of the thin G'.
     """
     fm = H.subset(F)
-    double_cosets(H, fm)  # refuses an F that is not closed
-    return cached(H, ("quotient", fm), lambda: QuotientMap(_induced(
-        H, fm, H.full, f"{H.name}//[{','.join(map(str, members(fm)))}]")))
+
+    def build():
+        double_cosets(H, fm)  # refuses an F that is not closed
+        return QuotientMap(_induced(H, fm, H.full, _quotient_name(H.name, fm)))
+
+    return cached(H, ("quotient", fm), build)
+
+
+def _quotient_name(name: str, fm: int) -> str:
+    """The name of a quotient by fm of the hypergroup called name."""
+    return f"{name}//[{','.join(map(str, members(fm)))}]"
 
 
 def section_quotient(H: FiniteHypergroup, E, G) -> QuotientMap:
@@ -71,13 +79,12 @@ def section_quotient(H: FiniteHypergroup, E, G) -> QuotientMap:
     gm = H.subset(G)
     if em & ~gm:
         raise PreconditionError("section_quotient requires E inside G")
-    if not (is_closed(H, gm) and is_closed(H, em)):
-        raise PreconditionError("section_quotient requires closed subsets")
 
     def build():
-        elems = members(gm)
-        inner = ",".join(str(i) for i, e in enumerate(elems) if em >> e & 1)
-        name = f"{H.name}[{','.join(map(str, elems))}]//[{inner}]"
+        if not (is_closed(H, gm) and is_closed(H, em)):
+            raise PreconditionError("section_quotient requires closed subsets")
+        inner = mask_of(i for i, e in enumerate(members(gm)) if em >> e & 1)
+        name = _quotient_name(_sub_name(H, gm), inner)
         return QuotientMap(_induced(H, em, gm, name))
 
     return cached(H, ("section", em, gm), build)
