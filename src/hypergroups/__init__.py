@@ -43,7 +43,6 @@ from .formats import (
 )
 from .hall import (
     HallReport,
-    SolvabilitySuiteReport,
     SuiteCheck,
     are_conjugate,
     hall_subset_constructive,

@@ -53,7 +53,7 @@ def _fail(message: str, code: int) -> int:
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:  # exc.object holds the file's bytes
         line = _newlines(exc.object[:exc.start].decode("utf-8")).count("\n") + 1
@@ -206,7 +206,8 @@ def cmd_verify(args) -> int:
     sigma, pi = _sigma_pi(args)
     report = verify_hall(h, sigma, pi)
     suite = solvability_suite(h, sigma)
-    ok = report.hypotheses_hold and report.conclusions_hold and suite.passed
+    ok = (report.hypotheses_hold and report.conclusions_hold
+          and all(c.passed for c in suite))
     machine = {
         "command": "verify",
         "flags": _flags(report),
@@ -226,7 +227,7 @@ def cmd_verify(args) -> int:
             for c, hm in report.containment_witnesses],
         "suite": [{"check": c.name, "applicable": c.applicable,
                    "passed": c.passed, "violations": list(c.violations)}
-                  for c in suite.checks],
+                  for c in suite],
         "all_passed": ok,
     }
     human = [
@@ -244,7 +245,7 @@ def cmd_verify(args) -> int:
         f"conclusion containment: "
         f"{'pass' if report.conclusion_containment else 'fail'}",
     ]
-    for c in suite.checks:
+    for c in suite:
         human.append(f"suite {c.name}: {'pass' if c.passed else 'fail'} "
                      f"({c.applicable} instances)")
     human.append(f"overall: {'pass' if ok else 'fail'}")
@@ -293,12 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hall", help="Hall subsets for a class selection")
     common(p, sigma_pi=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--enumerate", dest="constructive", action="store_false",
-                      help="lattice scan (default)")
-    mode.add_argument("--constructive", dest="constructive", action="store_true",
-                      help="build one Hall subset through the radical")
-    p.set_defaults(func=cmd_hall, constructive=False)
+    p.add_argument("--constructive", action="store_true",
+                   help="build one Hall subset through the radical")
+    p.set_defaults(func=cmd_hall)
 
     p = sub.add_parser("radical", help="largest subnormal closed Pi-subset")
     common(p, sigma_pi=True)

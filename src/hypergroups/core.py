@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain
 from operator import index, itemgetter, or_
 from typing import NamedTuple
@@ -346,6 +346,11 @@ def thin_elements(H: FiniteHypergroup) -> int:
         s for s in range(H.rank) if H.table[H.star[s]][s] == 1))
 
 
+def columns(H: FiniteHypergroup) -> tuple[tuple[int, ...], ...]:
+    """H's table transposed, stored: columns(H)[y][x] = H.table[x][y]."""
+    return cached(H, "cols", lambda: tuple(zip(*H.table)))
+
+
 def complex_product(H: FiniteHypergroup, P: int, Q: int) -> int:
     """Union of the table entries over p in P, q in Q, both masks checked
     inline as in FiniteHypergroup.subset. Empty if either is."""
@@ -410,25 +415,27 @@ def _join(H: FiniteHypergroup, F: int, S: int) -> int:
     and each representative one table read per generator.
 
     Stops early, by Lagrange's theorem, once the cosets reached hold more
-    members than any closed subset other than H that contains F (the bound
-    of _lagrange_bounds for |F|): the join is then H, which is always
-    closed. When H is thin it is a group: every entry is a singleton, H1
-    is associativity, 0 the identity and h* the inverse of h, as h* h =
-    {0}. A closed subset is then a subgroup, so the join W contains the
-    subgroup F, and |W| = [W : F] |F| with [W : F] dividing [H : F] = m,
-    as [H : F] = [H : W] [W : F]. If W is not H, [W : F] is a divisor of m
-    below m, so at most m/p for the least prime p of m, and |W| is at most
-    m |F| / p = n/p for n = |H|. Every member reached lies in W, so once
-    more than n/p are reached, W = H. Otherwise the bound is n - 1: the
-    join stops at the full set, and no earlier.
+    members than any closed subset other than H that contains F: the join
+    is then H, which is always closed. When H is thin it is a group: every
+    entry is a singleton, H1 is associativity, 0 the identity and h* the
+    inverse of h, as h* h = {0}. A closed subset is then a subgroup, so
+    the join W contains the subgroup F, and |W| = [W : F] |F| with [W : F]
+    dividing [H : F] = m, as [H : F] = [H : W] [W : F]. If W is not H,
+    [W : F] is a divisor of m below m, so at most m/p for the least prime
+    p of m, and |W| is at most m |F| / p = n/p for n = |H|. Every member
+    reached lies in W, so once more than n/p are reached, W = H. Otherwise
+    the bound is n - 1: the join stops at the full set, and no earlier.
     """
     full = H.full
     t = H.table
+    n = H.rank
+    k = F.bit_count()
+    bound = n - 1
+    if k < n and not n % k and thin_elements(H) == full:
+        bound = n // next(p for p in range(2, n + 1) if n // k % p == 0)
     gens = tuple(bits((S | star_set(H, S)) & ~1))
-    base = F != 1 and members(F & ~1)  # 0 y = {y}, by UNIT
-    cols = base and cached(H, "cols", lambda: tuple(zip(*t)))
-    bound = cached(H, "join_bounds", lambda: _lagrange_bounds(
-        H.rank, thin_elements(H) == full))[F.bit_count()]
+    base = members(F & ~1)  # 0 y = {y}, by UNIT
+    cols = columns(H)
     mask = F
     reps = [0]
     for r in reps:
@@ -438,21 +445,12 @@ def _join(H: FiniteHypergroup, F: int, S: int) -> int:
             while add:
                 low = add & -add
                 y = low.bit_length() - 1
-                mask |= reduce(or_, map(cols[y].__getitem__, base), low) if base else low
+                mask |= reduce(or_, map(cols[y].__getitem__, base), low)
                 if mask.bit_count() > bound:
                     return full
                 reps.append(y)
                 add &= ~mask
     return mask
-
-
-@lru_cache(maxsize=None)
-def _lagrange_bounds(n: int, thin: bool) -> tuple[int, ...]:
-    """|F| -> the bound of _join for H of rank n: n/p for the least prime
-    p of n/|F| when H is thin and |F| a proper divisor of n, else n - 1."""
-    return tuple(n // next(p for p in range(2, n + 1) if n // k % p == 0)
-                 if thin and 0 < k < n and n % k == 0 else n - 1
-                 for k in range(n + 1))
 
 
 def is_closed(H: FiniteHypergroup, S) -> bool:

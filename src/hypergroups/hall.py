@@ -222,9 +222,7 @@ def hall_subset_constructive(H: FiniteHypergroup, sigma: PrimePartition,
             raise InternalConsistencyError("subgroup order must divide")
         if is_pi_number(size, sigma, pi) and \
                 is_pi_complement_number(n_q // size, sigma, pi):
-            n_c = valency_of(H, c)
-            if not is_pi_number(n_c, sigma, pi) or \
-                    not is_pi_complement_number(valency(H) // n_c, sigma, pi):
+            if c not in hall_subsets_enumerated(H, sigma, pi):
                 raise SearchExhaustedError(
                     "subset found is not a Hall Pi-subset")
             return c
@@ -373,17 +371,8 @@ class SuiteCheck:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class SolvabilitySuiteReport:
-    checks: tuple[SuiteCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def solvability_suite(H: FiniteHypergroup,
-                      sigma: PrimePartition) -> SolvabilitySuiteReport:
+                      sigma: PrimePartition) -> tuple[SuiteCheck, ...]:
     """Instance checks of the closure properties of sigma-solvability.
 
     Checked on the given hypergroup: closed subsets inherit solvability;
@@ -408,7 +397,7 @@ def solvability_suite(H: FiniteHypergroup,
         return SuiteCheck(name, len(cases),
                           tuple(label for label, ok in cases if not ok))
 
-    return SolvabilitySuiteReport((
+    return (
         check("closed_subsets_inherit_solvability",
               ((f"closed subset {list(bits(c))}", c in up) for c in solv_lat)),
         check("quotients_by_normal_inherit_solvability",
@@ -424,4 +413,4 @@ def solvability_suite(H: FiniteHypergroup,
               [("smallest-partition solvability disagrees with prime-step chains",
                 is_sigma_solvable(H, SMALLEST) == is_solvable(H))]
               if rt_chain(H) is not None else ()),
-    ))
+    )

@@ -10,6 +10,7 @@ from .core import (
     _join,
     cached,
     closure,
+    columns,
     complex_product,
     thin_elements,
 )
@@ -90,7 +91,7 @@ def conjugations(H: FiniteHypergroup) -> dict[int, tuple[int, ...]]:
     n = H.rank
     t = H.table
     index = {1 << i: i for i in range(n)}
-    cols = cached(H, "cols", lambda: tuple(zip(*t)))
+    cols = columns(H)
     thin = thin_elements(H)
     conj = {0: tuple(1 << i for i in range(n))}
     perm: dict[int, tuple[int, ...]] = {}  # generator k -> phi_k on elements

@@ -589,13 +589,12 @@ def chain_types(H) -> dict[int, set[tuple[int, ...]]]:
 # the solvability suite, every instance decided on its own
 
 def naive_solvability_suite(H, sigma):
-    """The report solvability_suite must give, with nothing carried: the
+    """The checks solvability_suite must give, with nothing carried: the
     quotient over every closed subset is built and decided, whether or not
     a check reads it, and a closed subset is decided as a sub-hypergroup
     rather than by a chain in H's own lattice."""
     from hypergroups import (
         SMALLEST,
-        SolvabilitySuiteReport,
         SuiteCheck,
         closed_subsets,
         is_residually_thin,
@@ -620,7 +619,7 @@ def naive_solvability_suite(H, sigma):
         return SuiteCheck(name, len(cases),
                           tuple(label for label, ok in cases if not ok))
 
-    return SolvabilitySuiteReport((
+    return (
         check("closed_subsets_inherit_solvability",
               [(f"closed subset {list(members(c))}", part[c]) for c in every]),
         check("quotients_by_normal_inherit_solvability",
@@ -636,7 +635,7 @@ def naive_solvability_suite(H, sigma):
               [("smallest-partition solvability disagrees with prime-step chains",
                 is_sigma_solvable(H, SMALLEST) == is_solvable(H))]
               if is_residually_thin(H) else []),
-    ))
+    )
 
 
 def naive_hall_constructive(H, sigma, pi):

@@ -76,6 +76,25 @@ def test_undecodable_byte_is_an_input_error_at_its_line(capsys, tmp_path):
         "(line 4)\n")
 
 
+def test_byte_order_mark_opens_a_file_as_nothing(capsys, fixtures_dir, tmp_path):
+    # A UTF-8 byte-order mark before the first line is not part of the
+    # document: each fixture reads the same with one. Anywhere else it is
+    # an ordinary character, and an undecodable byte after it is reported
+    # as without it.
+    copy = tmp_path / "bom"
+    for path in sorted(fixtures_dir.iterdir()):
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(capsys, "analyze", "--machine", str(copy)) == \
+            run(capsys, "analyze", "--machine", str(path)), path.name
+    copy.write_bytes(b"hypergroup x\n\xef\xbb\xbfrank 1\nstar 0\n0 0 : 0\n")
+    assert run(capsys, "validate", str(copy)) == (
+        2, "", "error: unrecognized line '\\ufeffrank' (line 2)\n")
+    copy.write_bytes(b"\xef\xbb\xbfhypergroup x\nrank 1\nstar 0\n0 0 : \xe9\n")
+    assert run(capsys, "validate", str(copy)) == (
+        2, "", "error: cannot decode byte 0xe9 as UTF-8: invalid continuation "
+               "byte (line 4)\n")
+
+
 def test_line_breaks_of_a_readable_file_are_read_as_newlines(capsys, tmp_path):
     # \r\n and \r each end one line, as open() reads them; a form feed
     # does not, so the bad member is reported on line 5, not 6.

@@ -181,6 +181,41 @@ def test_only_core_names_the_store():
     assert not named, f"modules other than core.py name _cache: {', '.join(named)}"
 
 
+def _functools_caches(tree):
+    """Every node of tree that names functools.cache or functools.lru_cache,
+    however functools or the decorator was imported."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names
+                      if a.name in ("cache", "lru_cache")}
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+            and isinstance(node.value, ast.Name) and node.value.id in modules]
+
+
+def test_no_process_wide_caches():
+    # A fact of a hypergroup lives in the instance's store, through
+    # core.cached, not in a process-wide functools cache. The one exception
+    # is cli._parser, the process's one argument parser; fixtures.py, the
+    # inputs of the tests and the benchmark, is exempt.
+    found = []
+    for path in [*MODULES, PACKAGE / "__init__.py"]:
+        if path.name == "fixtures.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(d.func if isinstance(d, ast.Call) else d)
+                   for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                   and (path.name, fn.name) == ("cli.py", "_parser")
+                   for d in fn.decorator_list}
+        found += [f"{path.name}:{node.lineno}" for node in _functools_caches(tree)
+                  if id(node) not in allowed]
+    assert not found, f"process-wide caches: {', '.join(found)}"
+
+
 def test_only_formats_dispatches_on_format():
     # Every document is read through formats.load_any or load_as: no other
     # module parses a native document or picks a reader itself.

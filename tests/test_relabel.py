@@ -73,7 +73,7 @@ def _answers(h, move=lambda m: m):
     if out["residually thin"]:
         out["valencies"] = {move(c): valency_of(h, c) for c in lat.subsets}
     for sigma in PARTITIONS:
-        out[sigma] = solvability_suite(h, sigma).passed
+        out[sigma] = all(c.passed for c in solvability_suite(h, sigma))
         for pi in _selections(h, sigma):
             rep = verify_hall(h, sigma, pi)
             out[sigma, pi] = (
